@@ -13,7 +13,10 @@ Subcommands cover every analytic and Monte Carlo operation:
 All numeric output is CSV with a header row, full-precision scientific
 notation and a locale-independent decimal point, so identical invocations
 produce byte-identical files. A JSON config file may supply any long-form
-option; explicit command-line flags win over config values.
+option; explicit command-line flags win over config values. A config value
+converts as the option's command-line token would (a list for a repeatable
+option, true or false for a switch); one that does not is an invalid
+parameter.
 
 Exit codes: 0 success, 2 invalid parameter values, 3 numerical failure,
 64 usage errors (unknown subcommand or flag).
@@ -288,7 +291,6 @@ def _build_parser() -> _Parser:
             p.add_argument("--T", type=float, default=100.0)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--config", type=str, default=None)
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("rate", help="rate function table")
     common(p)
@@ -350,23 +352,54 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: Sequence[str]) -> None:
+def _config_value(action: argparse.Action, value):
+    # a config value converts as the command-line token it stands for would
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ValueError(f"expected true or false, got {value!r}")
+        return value
+    if isinstance(action, argparse._AppendAction):
+        items = value if isinstance(value, list) else [value]
+        return [_config_token(action, v) for v in items]
+    return _config_token(action, value)
+
+
+def _config_token(action: argparse.Action, value):
+    if isinstance(value, (list, dict)) or value is None:
+        raise ValueError(f"expected a single value, got {value!r}")
+    if action.type is not None:
+        value = action.type(str(value))
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"expected one of {list(action.choices)}, got {value!r}")
+    return value
+
+
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                  argv: Sequence[str]) -> None:
     # config supplies defaults; flags explicitly present on the command
     # line keep their parsed values
     if not getattr(args, "config", None):
         return
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _UsageError(f"cannot read config file: {exc}") from exc
     if not isinstance(cfg, dict):
         raise _UsageError("config file must contain a JSON object")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.command]._actions}
     explicit = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
                 for tok in argv if tok.startswith("--")}
     for key, value in cfg.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in actions or attr == "help":
             raise _UsageError(f"unknown config key {key!r}")
         if attr not in explicit:
-            setattr(args, attr, value)
+            try:
+                setattr(args, attr, _config_value(actions[attr], value))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from exc
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
@@ -375,10 +408,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args, argv)
+        _apply_config(parser, args, argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ValueError as exc:
+        print(f"invalid parameters: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     needs_model = args.command != "oracle" or args.kind == "legendre"
     if needs_model and (args.theta is None or args.hurst is None):
         print("error: --theta and --hurst are required", file=sys.stderr)

@@ -33,12 +33,17 @@ with a two-sample Kolmogorov-Smirnov statistic.
 The oracle route discretizes all its integrals with left-point
 (Ito-consistent) sums. Reproducibility contract: identical (seed,
 stream_id, grid) give bit-identical output regardless of execution order
-or thread count.
+or thread count. The martingale batch runs its chunks concurrently on the
+cores the process may use, one stream per chunk; the golden digests in
+``tests/test_sim.py::TestReproducibility`` and the comparison there of the
+pooled batch with a serial loop over the chunks enforce this.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +75,7 @@ BATCH_CHUNK = 1 << 15
 
 #: time steps drawn per block; drawing the (n, m) normals of a chunk in row
 #: blocks yields the same numbers as one draw and bounds the memory per chunk
-_DRAW_ROWS = 64
+_DRAW_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -262,7 +267,8 @@ def _advance_batch(
     """Terminal energy ``S`` and Ito sum ``sum_i Q_i dM_i`` for ``m`` paths.
 
     The standard normals are drawn from ``gen`` as one ``(n_intervals, m)``
-    array, in row blocks; see ``_trapezoid_coefficients`` for the step.
+    array, in row blocks into one reused buffer; see
+    ``_trapezoid_coefficients`` for the step.
     """
     dq, h_dtr, c_q, c_dm, g, w = _trapezoid_coefficients(params, grid)
     sd = np.sqrt(dq)
@@ -274,8 +280,10 @@ def _advance_batch(
     P = np.empty(m)
     dY = np.empty(m)
     tmp = np.empty(m)
+    buf = np.empty((min(_DRAW_ROWS, n), m))
     for lo in range(0, n, _DRAW_ROWS):
-        block = gen.standard_normal((min(_DRAW_ROWS, n - lo), m))
+        block = buf[: min(_DRAW_ROWS, n - lo)]
+        gen.standard_normal(out=block)
         block *= sd[lo : lo + block.shape[0], None]
         for i, dM in enumerate(block, start=lo):
             np.multiply(Q, dM, out=tmp)
@@ -295,6 +303,13 @@ def _advance_batch(
     return S, num
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def simulate_martingale_batch(
     params: ModelParams,
     grid: TimeGrid,
@@ -306,21 +321,30 @@ def simulate_martingale_batch(
 
     Paths are generated in fixed-size chunks, one RNG stream per chunk
     (stream index = chunk index), so the output is bit-identical for a
-    given (seed, grid, replicates, chunk) regardless of scheduling.
+    given (seed, grid, replicates, chunk) regardless of scheduling. The
+    chunks run concurrently on a thread pool with one worker per core the
+    process may use (its CPU affinity), at most one per chunk; a single
+    chunk or a single core runs inline. numpy releases the GIL in the
+    normal draws and in the ufunc loops over a chunk's rows. The golden
+    digests and the serial-loop comparison in
+    ``tests/test_sim.py::TestReproducibility`` enforce the invariance.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    s_parts, th_parts = [], []
-    done = 0
-    chunk_id = 0
-    while done < replicates:
-        m = min(chunk, replicates - done)
-        gen = RngSpec(seed=seed, stream_id=chunk_id).generator()
-        S, num = _advance_batch(params, grid, gen, m)
-        s_parts.append(S)
-        th_parts.append(params.theta + num / S)
-        done += m
-        chunk_id += 1
+    sizes = [min(chunk, replicates - lo) for lo in range(0, replicates, chunk)]
+
+    def run(k):
+        gen = RngSpec(seed=seed, stream_id=k).generator()
+        S, num = _advance_batch(params, grid, gen, sizes[k])
+        return S, params.theta + num / S
+
+    workers = min(_usable_cores(), len(sizes))
+    if workers == 1:
+        parts = [run(k) for k in range(len(sizes))]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, range(len(sizes))))
+    s_parts, th_parts = zip(*parts)
     return BatchResult(
         s_terminal=np.concatenate(s_parts),
         theta_hat=np.concatenate(th_parts),

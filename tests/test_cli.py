@@ -213,9 +213,57 @@ class TestConfig:
         )
         assert code == cli.EXIT_USAGE
 
-    def test_threads_flag_accepted(self, capsys):
+    def test_threads_flag_rejected(self, capsys):
+        # the batch sizes its thread pool from the usable cores; there is
+        # no flag for it
         code = _run(
             ["rate", "--theta", "-1", "--hurst", "0.75", "--target", "energy",
              "--c", "1.0", "--threads", "2"]
         )
+        assert code == cli.EXIT_USAGE
+
+    def test_config_values_convert_like_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theta": "-1", "hurst": 0.75, "c": [1.0, "0.7"]}))
+        code = _run(["rate", "--config", str(cfg), "--target", "energy"])
         assert code == cli.EXIT_OK
+        rows = _rows(capsys.readouterr().out)
+        assert [float(r["rate"]) for r in rows] == [
+            rate_energy(P, 1.0), rate_energy(P, 0.7)
+        ]
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"theta": "minus one"},
+            {"theta": [-1.0]},
+            {"theta": None},
+            {"theta": True},
+            {"order1": "yes"},
+            {"c": {"level": 1.0}},
+            {"c": ["1.0", "one"]},
+        ],
+    )
+    def test_config_value_of_wrong_type_is_invalid(self, cfg, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"theta": -1.0, "hurst": 0.75, "c": 1.0, **cfg}))
+        code = _run(["tail", "--config", str(path), "--target", "energy"])
+        assert code == cli.EXIT_INVALID
+        assert capsys.readouterr().err.startswith("invalid parameters: config key")
+
+    def test_config_value_outside_choices_is_invalid(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target": "variance"}))
+        code = _run(["oracle", "--config", str(path), "--kind", "legendre",
+                     "--theta", "-1", "--hurst", "0.75", "--c", "0.7"])
+        assert code == cli.EXIT_INVALID
+        assert capsys.readouterr().err.startswith("invalid parameters: config key")
+
+    @pytest.mark.parametrize("text", ["{not json", None])
+    def test_unreadable_config_is_usage_error(self, text, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        code = _run(["rate", "--config", str(path), "--theta", "-1",
+                     "--hurst", "0.75", "--target", "energy", "--c", "1.0"])
+        assert code == cli.EXIT_USAGE

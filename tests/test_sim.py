@@ -1,5 +1,6 @@
 """Tests of the path simulators: exactness, reproducibility, convergence."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from exact_law import energy_mean
+from fousldp import sim
 from fousldp.model import GenFnPoint, ModelParams, exact_lt
 from fousldp.sim import (
     RngSpec,
@@ -71,12 +73,19 @@ class _UnitImpulses:
     def __init__(self):
         self.row = 0
 
-    def standard_normal(self, shape):
-        rows, m = shape
-        out = np.zeros(shape)
+    def standard_normal(self, out):
+        rows = out.shape[0]
+        out[...] = 0.0
         out[np.arange(rows), self.row + np.arange(rows)] = 1.0
         self.row += rows
         return out
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
 
 
 class TestGrid:
@@ -128,10 +137,52 @@ class TestReproducibility:
 
     def test_batch_bit_identical_and_chunk_invariant_layout(self):
         g = make_grid(10.0, 200)
-        r1 = simulate_martingale_batch(P, g, seed=5, replicates=300)
-        r2 = simulate_martingale_batch(P, g, seed=5, replicates=300)
+        r1 = simulate_martingale_batch(P, g, seed=5, replicates=300, chunk=64)
+        r2 = simulate_martingale_batch(P, g, seed=5, replicates=300, chunk=64)
         assert np.array_equal(r1.s_terminal, r2.s_terminal)
         assert np.array_equal(r1.theta_hat, r2.theta_hat)
+
+    # SHA-256 of the little-endian float64 bytes, pinned before the batch
+    # ran its chunks on a thread pool; they change only with the scheme,
+    # the draws or the stream layout
+    @pytest.mark.parametrize(
+        "T, n, seed, replicates, chunk, digest",
+        [
+            # four chunks, the last one partial
+            (10.0, 200, 5, 1000, 256,
+             "f2d7bff51946234d8a3eeedd65497fab2e8b29fc95eded1744ffe17f895b2e26"),
+            # the default chunk plus a 5-path tail chunk
+            (1.0, 100, 7, 32768 + 5, None,
+             "f4057fdbb8bf69c9035152c2aff90a7ae057eccec7cf203c3c4105d25482b35f"),
+        ],
+    )
+    def test_batch_golden_digest(self, T, n, seed, replicates, chunk, digest):
+        kw = {} if chunk is None else {"chunk": chunk}
+        r = simulate_martingale_batch(P, make_grid(T, n), seed, replicates, **kw)
+        assert _digest(r.s_terminal, r.theta_hat) == digest
+
+    def test_path_golden_digest(self):
+        p = simulate_martingale_path(P, make_grid(10.0, 200), RngSpec(seed=123, stream_id=7))
+        assert _digest(p.M, p.Y, p.Q, p.S, [p.theta_hat]) == (
+            "60bd9db4a1ea8f0e2e362474d5a9f4295ce5bac9b259e828b9e3a3182e88aaa1"
+        )
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 8])
+    def test_pooled_batch_equals_serial_chunks(self, cores, monkeypatch):
+        # the worker count follows the usable cores; pin it so that the
+        # pool runs with 1-6 workers on any machine
+        monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
+        g = make_grid(10.0, 200)
+        seed, replicates, chunk = 11, 700, 128
+        r = simulate_martingale_batch(P, g, seed, replicates, chunk=chunk)
+        s_parts, th_parts = [], []
+        for k, lo in enumerate(range(0, replicates, chunk)):
+            gen = RngSpec(seed=seed, stream_id=k).generator()
+            S, num = _advance_batch(P, g, gen, min(chunk, replicates - lo))
+            s_parts.append(S)
+            th_parts.append(P.theta + num / S)
+        assert np.array_equal(r.s_terminal, np.concatenate(s_parts))
+        assert np.array_equal(r.theta_hat, np.concatenate(th_parts))
 
     def test_fbm_batch_reproducible(self):
         g = make_grid(5.0, 128)
