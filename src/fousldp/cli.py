@@ -49,9 +49,24 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # each option by dest, and the dests of the repeatable ones: a
+        # config file is checked and converted against them
+        self.options: dict[str, argparse.Action] = {}
+        self.repeatable: set[str] = set()
+        super().__init__(*args, **kwargs)
+
     # argparse exits with code 2 on bad usage; the contract here is 64
     def error(self, message):
         raise _UsageError(message)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.dest != "help":
+            self.options[action.dest] = action
+        if kwargs.get("action") == "append":
+            self.repeatable.add(action.dest)
+        return action
 
 
 def _fmt(x) -> str:
@@ -280,9 +295,11 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    # the parser and each subcommand's parser by name
     parser = _Parser(prog="fousldp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, _Parser] = {}
 
     def common(p, need_T=True):
         p.add_argument("--theta", type=float, required=False)
@@ -292,34 +309,34 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--config", type=str, default=None)
 
-    p = sub.add_parser("rate", help="rate function table")
-    common(p)
+    def command(name, help):
+        p = commands[name] = sub.add_parser(name, help=help)
+        common(p)
+        return p
+
+    p = command("rate", "rate function table")
     p.add_argument("--target", choices=("energy", "mle"), required=True)
     p.add_argument("--c", type=float, action="append")
     p.set_defaults(func=_cmd_rate)
 
-    p = sub.add_parser("tail", help="sharp tail approximations")
-    common(p)
+    p = command("tail", "sharp tail approximations")
     p.add_argument("--target", choices=("energy", "mle"), required=True)
     p.add_argument("--c", type=float, action="append")
     p.add_argument("--order1", action="store_true")
     p.set_defaults(func=_cmd_tail)
 
-    p = sub.add_parser("saddle", help="saddlepoint diagnostics (energy)")
-    common(p)
+    p = command("saddle", "saddlepoint diagnostics (energy)")
     p.add_argument("--c", type=float, action="append")
     p.set_defaults(func=_cmd_saddle)
 
-    p = sub.add_parser("simulate", help="simulate paths")
-    common(p)
+    p = command("simulate", "simulate paths")
     p.add_argument("--replicates", type=int, default=1)
     p.add_argument("--grid-n", dest="grid_n", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dump-paths", action="store_true")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("mc", help="Monte Carlo tail comparison")
-    common(p)
+    p = command("mc", "Monte Carlo tail comparison")
     p.add_argument("--target", choices=("energy", "mle"), required=True)
     p.add_argument("--c", type=float, action="append")
     p.add_argument("--replicates", type=int, default=100_000)
@@ -328,15 +345,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--order1", action="store_true")
     p.set_defaults(func=_cmd_mc)
 
-    p = sub.add_parser("clt", help="central limit validation")
-    common(p)
+    p = command("clt", "central limit validation")
     p.add_argument("--replicates", type=int, default=5000)
     p.add_argument("--grid-n", dest="grid_n", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_clt)
 
-    p = sub.add_parser("oracle", help="numerical cross-checks")
-    common(p)
+    p = command("oracle", "numerical cross-checks")
     p.add_argument("--kind", choices=("legendre", "gamma-contour", "bessel"),
                    required=True)
     p.add_argument("--target", choices=("energy", "mle"), default="energy")
@@ -349,17 +364,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=int, default=2)
     p.set_defaults(func=_cmd_oracle)
 
-    return parser
+    return parser, commands
 
 
-def _config_value(action: argparse.Action, value):
+def _config_value(action: argparse.Action, repeatable: bool, value):
     # a config value converts as the command-line token it stands for would
     if action.nargs == 0:
         if not isinstance(value, bool):
             raise ValueError(f"expected true or false, got {value!r}")
         return value
-    if isinstance(action, argparse._AppendAction):
+    if repeatable:
         items = value if isinstance(value, list) else [value]
+        if not items:
+            raise ValueError("expected at least one value")
         return [_config_token(action, v) for v in items]
     return _config_token(action, value)
 
@@ -374,7 +391,7 @@ def _config_token(action: argparse.Action, value):
     return value
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+def _apply_config(command: _Parser, args: argparse.Namespace,
                   argv: Sequence[str]) -> None:
     # config supplies defaults; flags explicitly present on the command
     # line keep their parsed values
@@ -387,17 +404,16 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
         raise _UsageError(f"cannot read config file: {exc}") from exc
     if not isinstance(cfg, dict):
         raise _UsageError("config file must contain a JSON object")
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in sub.choices[args.command]._actions}
     explicit = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
                 for tok in argv if tok.startswith("--")}
     for key, value in cfg.items():
         attr = key.replace("-", "_")
-        if attr not in actions or attr == "help":
+        if attr not in command.options:
             raise _UsageError(f"unknown config key {key!r}")
         if attr not in explicit:
             try:
-                setattr(args, attr, _config_value(actions[attr], value))
+                setattr(args, attr, _config_value(
+                    command.options[attr], attr in command.repeatable, value))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from exc
 
@@ -405,10 +421,10 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse arguments and execute a subcommand; returns the exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(parser, args, argv)
+        _apply_config(commands[args.command], args, argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -323,10 +323,9 @@ def simulate_martingale_batch(
     (stream index = chunk index), so the output is bit-identical for a
     given (seed, grid, replicates, chunk) regardless of scheduling. The
     chunks run concurrently on a thread pool with one worker per core the
-    process may use (its CPU affinity), at most one per chunk; a single
-    chunk or a single core runs inline. numpy releases the GIL in the
-    normal draws and in the ufunc loops over a chunk's rows. The golden
-    digests and the serial-loop comparison in
+    process may use (its CPU affinity), at most one per chunk. numpy
+    releases the GIL in the normal draws and in the ufunc loops over a
+    chunk's rows. The golden digests and the serial-loop comparison in
     ``tests/test_sim.py::TestReproducibility`` enforce the invariance.
     """
     if replicates < 1:
@@ -338,12 +337,8 @@ def simulate_martingale_batch(
         S, num = _advance_batch(params, grid, gen, sizes[k])
         return S, params.theta + num / S
 
-    workers = min(_usable_cores(), len(sizes))
-    if workers == 1:
-        parts = [run(k) for k in range(len(sizes))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(len(sizes))))
+    with ThreadPoolExecutor(max_workers=min(_usable_cores(), len(sizes))) as pool:
+        parts = list(pool.map(run, range(len(sizes))))
     s_parts, th_parts = zip(*parts)
     return BatchResult(
         s_terminal=np.concatenate(s_parts),

@@ -242,6 +242,7 @@ class TestConfig:
             {"order1": "yes"},
             {"c": {"level": 1.0}},
             {"c": ["1.0", "one"]},
+            {"c": []},
         ],
     )
     def test_config_value_of_wrong_type_is_invalid(self, cfg, tmp_path, capsys):
