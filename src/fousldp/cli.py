@@ -19,7 +19,11 @@ option, true or false for a switch); one that does not is an invalid
 parameter.
 
 Exit codes: 0 success, 2 invalid parameter values, 3 numerical failure,
-64 usage errors (unknown subcommand or flag).
+64 usage errors (unknown subcommand or flag, or a flag abbreviated).
+
+``validate``, and with it ``scipy.stats``, loads only in ``mc``, ``clt`` and
+``oracle``, and ``scipy.optimize`` only in ``saddle``, so that the scalar
+commands start quickly.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import energy, mle, special, validate
+from . import energy, mle, special
 from .model import DomainError, ModelParams
 from .sim import RngSpec, make_grid, simulate_martingale_batch, simulate_martingale_path
 
@@ -54,7 +58,9 @@ class _Parser(argparse.ArgumentParser):
         # config file is checked and converted against them
         self.options: dict[str, argparse.Action] = {}
         self.repeatable: set[str] = set()
-        super().__init__(*args, **kwargs)
+        # an abbreviated flag would escape the config check, which knows
+        # the explicit flags by their full names
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     # argparse exits with code 2 on bad usage; the contract here is 64
     def error(self, message):
@@ -194,6 +200,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    from . import validate
+
     params = _params(args)
     rows = []
     for c in _c_list(args):
@@ -224,6 +232,8 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_clt(args) -> int:
+    from . import validate
+
     params = _params(args)
     e_rep, m_rep = validate.clt_test(
         params, args.T, args.replicates, args.seed, grid_n=args.grid_n
@@ -244,6 +254,8 @@ def _cmd_clt(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import validate
+
     params = None
     rows = []
     if args.kind == "legendre":
@@ -450,3 +462,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy.optimize import brentq
-
 from .model import ModelParams, modified_terms
 from .special import gamma_real
 
@@ -222,8 +220,13 @@ def tail_easy(
     theta = params.theta
     if not 0 < c < c_star(params):
         raise ValueError(f"c={c} outside the interior-saddlepoint range")
-    lower = c < -1.0 / (2.0 * theta)
+    mean = -1.0 / (2.0 * theta)
+    lower = c < mean
     a_c = _saddle_ac(params, c)
+    # the tilt a_c is 0 at the mean, where log|a_c| below fails; in floating
+    # point it may also come out tiny but nonzero there, or 0 an ulp away
+    if c == mean or a_c == 0.0:
+        raise ValueError("c = -1/(2 theta) is the law-of-large-numbers point, not a tail")
     sigma_c = math.sqrt(4.0 * c**3)
     J = -0.5 * math.log((1.0 - 2.0 * theta * c) / 2.0)
     s = params.sin_pi_h
@@ -378,6 +381,9 @@ def saddle_solve(params: ModelParams, c: float, T: float) -> SaddleSolution:
         lo = a_h - width
     else:
         raise ArithmeticError("bracket failure: saddle equation has no root below a_h")
+    # scipy.optimize is slow to import, and only this solver needs it
+    from scipy.optimize import brentq
+
     a_T = brentq(f, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200)
     resid = f(a_T)
     if abs(resid) > 1e-10 * max(1.0, abs(c)):

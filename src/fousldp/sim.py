@@ -47,7 +47,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc
 
 from .model import ModelParams
 
@@ -392,6 +391,9 @@ def kernel_weight_matrix(params: ModelParams, grid: TimeGrid) -> np.ndarray:
     density in ``s/t_j``), so the integrable endpoint singularities at
     ``s = 0`` and ``s = t_j`` are handled without special-casing.
     """
+    # only the physical route needs scipy, which is slow to import
+    from scipy.special import betainc
+
     t = grid.nodes
     n = grid.n_intervals
     alpha = 1.5 - params.hurst

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fousldp
 from fousldp import cli
 from fousldp.energy import rate_energy, tail_energy
 from fousldp.model import ModelParams
@@ -62,6 +66,17 @@ class TestTailCommand:
         ref = tail_energy(P, 0.7, 40.0, with_order1=True)
         assert float(row["value"]) == ref.value(40.0)
         assert float(row["order1"]) == ref.order1
+
+    def test_law_of_large_numbers_point_is_invalid(self, capsys):
+        code = _run(
+            ["tail", "--theta", "-1", "--hurst", "0.75", "--target", "energy",
+             "--c", "0.5"]
+        )
+        assert code == cli.EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "invalid parameters: c = -1/(2 theta) is the law-of-large-numbers"
+            " point, not a tail\n"
+        )
 
     def test_invalid_hurst_exit_code(self, capsys):
         code = _run(
@@ -204,6 +219,17 @@ class TestConfig:
         row = _rows(capsys.readouterr().out)[0]
         assert float(row["rate"]) == rate_energy(P, 1.0)
 
+    def test_abbreviated_flag_is_usage_error(self, tmp_path, capsys):
+        # "--the" would otherwise parse as --theta and lose to the config
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theta": -1.0, "hurst": 0.75}))
+        code = _run(
+            ["rate", "--config", str(cfg), "--the", "-2", "--target", "energy",
+             "--c", "1.0"]
+        )
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"volatility": 1.0}))
@@ -268,3 +294,54 @@ class TestConfig:
         code = _run(["rate", "--config", str(path), "--theta", "-1",
                      "--hurst", "0.75", "--target", "energy", "--c", "1.0"])
         assert code == cli.EXIT_USAGE
+
+
+def _python(code, *args):
+    # a fresh interpreter that imports the package from this source tree
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fousldp.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, *code, *args], capture_output=True,
+                          text=True, env=env, check=True, timeout=120).stdout
+
+
+class TestStartup:
+    RATE = ["rate", "--theta", "-1", "--hurst", "0.75", "--target", "energy",
+            "--c", "0.7", "--c", "3.0"]
+
+    def test_python_m_prints_the_same_csv_as_main(self):
+        via_m = _python(["-m", "fousldp.cli"], *self.RATE)
+        via_main = _python(["-c", "from fousldp.cli import main; main()"], *self.RATE)
+        assert via_m == via_main
+        assert via_m.startswith("target,c,rate,branch\n")
+
+    def test_scalar_commands_load_no_heavy_modules(self):
+        # scipy.stats, scipy.optimize and validate take about a second to
+        # import; the scalar commands need none of them
+        code = """
+import contextlib, io, json, sys
+from fousldp import cli
+heavy = ["scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.special",
+         "fousldp.validate"]
+model = ["--theta", "-1", "--hurst", "0.75"]
+loaded = {}
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["rate", "--target", "energy", "--c", "0.7"],
+                 ["tail", "--target", "energy", "--c", "0.7", "--order1"],
+                 ["tail", "--target", "mle", "--c", "-0.6"],
+                 ["saddle", "--c", "4.0"]):
+        assert cli.run(argv + model) == 0
+        loaded[argv[0]] = [m for m in heavy if m in sys.modules]
+import fousldp
+from fousldp import KSReport, mc_tail
+import fousldp.validate as v
+loaded["same"] = [mc_tail is v.mc_tail, KSReport is v.KSReport,
+                  fousldp.clt_test is v.clt_test]
+print(json.dumps(loaded))
+"""
+        loaded = json.loads(_python(["-c", code]))
+        assert loaded["rate"] == []
+        assert loaded["tail"] == []
+        assert "scipy.optimize" in loaded["saddle"]
+        assert "scipy.stats" not in loaded["saddle"]
+        assert "fousldp.validate" not in loaded["saddle"]
+        assert loaded["same"] == [True, True, True]

@@ -204,6 +204,13 @@ class TestTails:
         )
         assert ta.value(100.0) == pytest.approx(expect, rel=1e-12)
 
+    # at theta = -0.9 the tilt a_c rounds to 9e-17, not 0, at the point
+    @pytest.mark.parametrize("theta", [-1.0, -0.9])
+    def test_law_of_large_numbers_point_is_not_a_tail(self, theta):
+        params = ModelParams(theta=theta, hurst=0.75)
+        with pytest.raises(ValueError, match="law-of-large-numbers point"):
+            tail_energy(params, -1 / (2 * theta), 100.0)
+
     def test_branch_consistency_sweep(self):
         # dispatched values agree with the branch functions across levels
         T = 60.0
