@@ -386,6 +386,16 @@ def saddle_solve(params: ModelParams, c: float, T: float) -> SaddleSolution:
 
     a_T = brentq(f, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200)
     resid = f(a_T)
+    # brentq stops a few ulps from the root; where f is steep (hard levels
+    # at large T, about 1e-9 per ulp at T = 1e6) step to the float with the
+    # smallest residual; f increases in a
+    toward = math.inf if resid < 0 else -math.inf
+    for _ in range(4):
+        nxt = math.nextafter(a_T, toward)
+        r = f(nxt)
+        if not abs(r) < abs(resid):
+            break
+        a_T, resid = nxt, r
     if abs(resid) > 1e-10 * max(1.0, abs(c)):
         raise ArithmeticError(f"saddle residual {resid:.3e} exceeds tolerance")
     phi_T = energy_phi(params, a_T)

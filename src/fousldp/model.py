@@ -76,16 +76,22 @@ class ModelParams:
         return math.sin(math.pi * self.hurst)
 
     @cached_property
+    def one_minus_sin_pi_h(self) -> float:
+        """1 - sin(pi H), formed as 2 sin^2(pi (H - 1/2) / 2).
+
+        The direct difference cancels near H = 1/2 (to 0 at H = 1/2 + 1e-10).
+        """
+        return 2.0 * math.sin(math.pi * (self.hurst - 0.5) / 2.0) ** 2
+
+    @cached_property
     def delta_h(self) -> float:
         """(1 - sin(pi H)) / (1 + sin(pi H)), in (0, 1)."""
-        s = self.sin_pi_h
-        return (1.0 - s) / (1.0 + s)
+        return self.one_minus_sin_pi_h / (1.0 + self.sin_pi_h)
 
     @cached_property
     def p_h(self) -> float:
         """(1 - sin(pi H)) / sin(pi H); note delta_h = p_h / (2 + p_h)."""
-        s = self.sin_pi_h
-        return (1.0 - s) / s
+        return self.one_minus_sin_pi_h / self.sin_pi_h
 
     @cached_property
     def lambda_h(self) -> float:

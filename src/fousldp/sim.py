@@ -32,17 +32,23 @@ with a two-sample Kolmogorov-Smirnov statistic.
 
 The oracle route discretizes all its integrals with left-point
 (Ito-consistent) sums. Reproducibility contract: identical (seed,
-stream_id, grid) give bit-identical output regardless of execution order
-or thread count. The martingale batch runs its chunks concurrently on the
-cores the process may use, one stream per chunk; the golden digests in
+stream_id, grid) draw identical normals, whatever the execution order.
+The martingale route turns them into bit-identical output regardless of
+thread count. Its batch runs its chunks concurrently on the cores the
+process may use, one stream per chunk; the golden digests in
 ``tests/test_sim.py::TestReproducibility`` and the comparison there of the
-pooled batch with a serial loop over the chunks enforce this.
+pooled batch with a serial loop over the chunks enforce this. The oracle
+route maps its normals through BLAS matrix products, whose rounding
+depends on the number of BLAS threads: its output is bit-identical for a
+fixed thread count and moves at rounding level (below 1e-13 relative)
+when that count changes.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -367,14 +373,16 @@ def fbm_increment_cholesky(hurst: float, grid: TimeGrid) -> np.ndarray:
             f"got {grid.n_intervals}"
         )
     t = grid.nodes
-    h2 = 2.0 * hurst
-    lo, hi = t[:-1], t[1:]
-    # Cov(dW_i, dW_j) via the rectangle rule on R(t,s) = (t^2H+s^2H-|t-s|^2H)/2
-    A = np.abs(hi[:, None] - lo[None, :]) ** h2
-    B = np.abs(lo[:, None] - hi[None, :]) ** h2
-    C = np.abs(lo[:, None] - lo[None, :]) ** h2
-    D = np.abs(hi[:, None] - hi[None, :]) ** h2
-    cov = 0.5 * (A + B - C - D)
+    # Cov(dW_i, dW_j) via the rectangle rule on R(t,s) = (t^2H+s^2H-|t-s|^2H)/2:
+    # the second difference of F[a, b] = |t_a - t_b|^2H,
+    # (F[i+1, j] + F[i, j+1] - F[i, j] - F[i+1, j+1]) / 2
+    F = np.abs(t[:, None] - t[None, :])
+    F **= 2.0 * hurst
+    cov = F[1:, :-1] + F[:-1, 1:]
+    cov -= F[:-1, :-1]
+    cov -= F[1:, 1:]
+    cov *= 0.5
+    del F
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -415,49 +423,97 @@ def _oracle_from_dy(params: ModelParams, grid: TimeGrid, Y: np.ndarray):
     dq = _dq_increments(params, grid)
     wl = _power_weights(params, grid)
     tr = t[1:] ** (2.0 * params.hurst - 1.0)
-    half_lh = params.l_h / 2.0
-    Yfull = np.vstack([np.zeros((1, Y.shape[1])), Y])
-    dY = np.diff(Yfull, axis=0)
-    J = np.cumsum(wl[:, None] * dY, axis=0)
-    Q = half_lh * (tr[:, None] * Y + J)
-    Qprev = np.vstack([np.zeros((1, Y.shape[1])), Q[:-1]])
-    S = np.sum(Qprev * Qprev * dq[:, None], axis=0)
-    num = np.sum(Qprev * dY, axis=0)
+    dY = np.empty_like(Y)
+    dY[0] = Y[0]
+    np.subtract(Y[1:], Y[:-1], out=dY[1:])
+    # Q = (l_H/2)(t^{2H-1} Y + J), J the running sum of s^{2H-1} dY
+    Q = np.multiply(wl[:, None], dY)
+    np.cumsum(Q, axis=0, out=Q)
+    Q += tr[:, None] * Y
+    Q *= params.l_h / 2.0
+    # left-point sums; Q at t_0 is zero
+    S = dq[1:] @ np.square(Q[:-1])
+    dY[1:] *= Q[:-1]
+    num = dY[1:].sum(axis=0)
     return Q, S, num
 
 
-def simulate_fbm_oracle(
-    params: ModelParams,
-    grid: TimeGrid,
-    rng: RngSpec,
-    chol: np.ndarray | None = None,
-    weights: np.ndarray | None = None,
-) -> SimPath:
+#: the physical route's factors for the last (theta, hurst, grid) it ran on,
+#: as ``(key, chol, K)``; see ``_fbm_factors``
+_fbm_cache = None
+_fbm_cache_lock = threading.Lock()
+
+
+def _fbm_factors(params: ModelParams, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(chol, K)`` of the physical route on ``grid``.
+
+    ``chol`` maps standard normals ``z`` to the fBM increments ``dW``, and
+    ``K`` maps them to the whitened process at ``t_1..t_n``: ``Y = K z``.
+    The route is linear in ``z``, so ``K`` is the Euler step
+    ``dX_i = theta X_i dt_i + dW_i`` run once on the columns of ``chol``,
+    whitened by the kernel weights. Both factors are lower-triangular.
+    One entry is kept, keyed by the parameters and the grid nodes, so
+    equal grids from separate ``make_grid`` calls share it.
+    """
+    global _fbm_cache
+    key = (params.theta, params.hurst, grid.nodes.tobytes())
+    with _fbm_cache_lock:
+        if _fbm_cache is None or _fbm_cache[0] != key:
+            _fbm_cache = None  # free the old entry before building the new one
+            _fbm_cache = (key, *_build_fbm_factors(params, grid))
+        return _fbm_cache[1], _fbm_cache[2]
+
+
+def _build_fbm_factors(params: ModelParams, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    # only the physical route needs BLAS's triangular product
+    from scipy.linalg.blas import dtrmm
+
+    chol = fbm_increment_cholesky(params.hurst, grid)
+    n = grid.n_intervals
+    dt = np.diff(grid.nodes)
+    X = np.zeros(n)
+    dX = np.zeros((n, n))
+    for i in range(n):
+        # row i depends on z_0..z_i only
+        row = dX[i, : i + 1]
+        np.multiply(X[: i + 1], params.theta * dt[i], out=row)
+        row += chol[i, : i + 1]
+        X[: i + 1] += row
+    # K = weights @ dX, formed as K^T = dX^T weights^T in the buffer of dX
+    weights = kernel_weight_matrix(params, grid)
+    K = dtrmm(1.0, weights.T, dX.T, side=1, lower=0, overwrite_b=1).T
+    chol.flags.writeable = False
+    K.flags.writeable = False
+    return chol, K
+
+
+def _whiten(K: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``Y = K z`` for an ``(n, m)`` array of normals, in the buffer of ``z``.
+
+    Computed as ``Y^T = z^T K^T``, so that both operands are already in
+    BLAS's column-major layout and nothing is copied.
+    """
+    from scipy.linalg.blas import dtrmm
+
+    return dtrmm(1.0, K.T, z.T, side=1, lower=0, overwrite_b=1).T
+
+
+def simulate_fbm_oracle(params: ModelParams, grid: TimeGrid, rng: RngSpec) -> SimPath:
     """Simulate one path through the physical route (fBM + kernel).
 
-    The expensive grid-dependent factors (Cholesky factor, kernel weight
-    matrix) can be precomputed once and passed in.
+    The same step as one path of ``simulate_fbm_batch``, with the shared
+    cached factors; ``M`` holds the fBM path itself.
     """
-    if chol is None:
-        chol = fbm_increment_cholesky(params.hurst, grid)
-    if weights is None:
-        weights = kernel_weight_matrix(params, grid)
-    gen = rng.generator()
-    n = grid.n_intervals
-    dW = chol @ gen.standard_normal(n)
-    dt = np.diff(grid.nodes)
-    X = np.zeros(n + 1)
-    for i in range(n):
-        X[i + 1] = X[i] + params.theta * X[i] * dt[i] + dW[i]
-    dX = np.diff(X)
-    Y = weights @ dX
-    Q, S, num = _oracle_from_dy(params, grid, Y[:, None])
-    Yfull = np.concatenate(([0.0], Y))
+    chol, K = _fbm_factors(params, grid)
+    z = rng.generator().standard_normal((grid.n_intervals, 1))
+    W_path = np.concatenate(([0.0], np.cumsum(chol @ z[:, 0])))
+    Y = _whiten(K, z)
+    Q, S, num = _oracle_from_dy(params, grid, Y)
+    Yfull = np.concatenate(([0.0], Y[:, 0]))
     Qfull = np.concatenate(([0.0], Q[:, 0]))
     Sfull = np.concatenate(
         ([0.0], np.cumsum(Qfull[:-1] ** 2 * _dq_increments(params, grid)))
     )
-    W_path = np.concatenate(([0.0], np.cumsum(dW)))
     return SimPath(
         grid=grid, M=W_path, Y=Yfull, Q=Qfull, S=Sfull, theta_hat=float(num[0] / S[0])
     )
@@ -472,27 +528,26 @@ def simulate_fbm_batch(
 ) -> BatchResult:
     """Terminal statistics for many physical-route paths.
 
-    Same chunked-stream reproducibility contract as the martingale batch.
+    Same chunked streams as the martingale batch: chunk ``k`` draws its
+    ``(n, m)`` standard normals ``z`` from stream ``k``. The whole map from
+    ``z`` to ``Y`` (fBM factor, Euler step, kernel weights) is one fixed
+    lower-triangular matrix ``K``, built once per (theta, hurst, grid) by
+    ``_fbm_factors``, so each chunk costs a single triangular product
+    ``Y = K z``. The last factors built stay cached, one grid at a time:
+    the Cholesky factor and ``K`` hold ``16 n^2`` bytes, 67 MB at
+    ``n = 2048`` and 268 MB at the ``n = 4096`` limit. The output depends
+    on the number of BLAS threads at rounding level; see the module
+    docstring.
     """
-    chol = fbm_increment_cholesky(params.hurst, grid)
-    weights = kernel_weight_matrix(params, grid)
+    _, K = _fbm_factors(params, grid)
     n = grid.n_intervals
-    dt = np.diff(grid.nodes)
-    theta = params.theta
     s_parts, th_parts = [], []
     done = 0
     chunk_id = 0
     while done < replicates:
         m = min(chunk, replicates - done)
         gen = RngSpec(seed=seed, stream_id=chunk_id).generator()
-        dW = chol @ gen.standard_normal((n, m))
-        X = np.zeros(m)
-        dX = np.empty((n, m))
-        for i in range(n):
-            Xn = X + theta * X * dt[i] + dW[i]
-            dX[i] = Xn - X
-            X = Xn
-        Y = weights @ dX
+        Y = _whiten(K, gen.standard_normal((n, m)))
         _, S, num = _oracle_from_dy(params, grid, Y)
         s_parts.append(S)
         th_parts.append(num / S)

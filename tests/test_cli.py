@@ -86,6 +86,22 @@ class TestTailCommand:
         assert code == cli.EXIT_INVALID
 
 
+    def test_hurst_just_above_half(self, capsys):
+        # 1 - sin(pi H) cancels to 0 in floating point at H = 1/2 + 1e-10;
+        # the rates and tails must still come out finite
+        near = []
+        for hurst in ("0.5000000001", "0.500001"):
+            for target, c in (("energy", "0.7"), ("mle", "-0.6")):
+                code = _run(["tail", "--theta", "-1", "--hurst", hurst,
+                             "--target", target, "--c", c])
+                assert code == cli.EXIT_OK
+                row = _rows(capsys.readouterr().out)[0]
+                near.append((float(row["rate"]), float(row["value"])))
+        for close, far in zip(near[:2], near[2:]):
+            assert all(math.isfinite(v) for v in close)
+            assert close == pytest.approx(far, rel=1e-9)
+
+
 class TestSaddleCommand:
     def test_columns(self, capsys):
         code = _run(
@@ -345,3 +361,22 @@ print(json.dumps(loaded))
         assert "scipy.stats" not in loaded["saddle"]
         assert "fousldp.validate" not in loaded["saddle"]
         assert loaded["same"] == [True, True, True]
+
+    def test_simulate_loads_no_scipy(self, tmp_path):
+        # the martingale route needs neither scipy nor validate; the BLAS
+        # product of the physical route is loaded inside that route only
+        code = f"""
+import contextlib, io, json, sys
+from fousldp import cli
+heavy = ["scipy.special", "scipy.linalg", "fousldp.validate"]
+sim = ["simulate", "--theta", "-1", "--hurst", "0.75", "--T", "5",
+       "--grid-n", "150", "--replicates", "2", "--seed", "3",
+       "--out", {str(tmp_path / "out.csv")!r}]
+loaded = {{}}
+with contextlib.redirect_stdout(io.StringIO()):
+    for name, extra in (("simulate", []), ("dump", ["--dump-paths"])):
+        assert cli.run(sim + extra) == 0
+        loaded[name] = [m for m in heavy if m in sys.modules]
+print(json.dumps(loaded))
+"""
+        assert json.loads(_python(["-c", code])) == {"simulate": [], "dump": []}

@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from fousldp.energy import c_star
 from fousldp.model import (
     DomainError,
     GenFnPoint,
@@ -42,6 +43,16 @@ class TestModelParams:
         assert P.p_h == pytest.approx((1 - s) / s, rel=1e-14)
         # delta = p / (2 + p) identity
         assert P.delta_h == pytest.approx(P.p_h / (2.0 + P.p_h), rel=1e-14)
+
+    def test_delta_and_p_without_cancellation(self):
+        # at H = 1/2 + 1e-10, 1 - sin(pi H) rounds to 0 when formed directly;
+        # its series is (pi (H - 1/2))^2 / 2 to relative order 1e-20
+        q = ModelParams(theta=-1.0, hurst=0.5 + 1e-10)
+        small = (math.pi * (q.hurst - 0.5)) ** 2 / 2.0
+        assert q.one_minus_sin_pi_h == pytest.approx(small, rel=1e-15)
+        assert q.p_h == pytest.approx(small, rel=1e-15)
+        assert q.delta_h == pytest.approx(small / 2.0, rel=1e-15)
+        assert math.isfinite(c_star(q)) and c_star(q) > 0
 
     @pytest.mark.parametrize("hurst", [0.55, 0.6, 0.75, 0.9, 0.95])
     def test_lambda_h_against_extended_precision(self, hurst):

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from fousldp.sim import (
     RngSpec,
     TimeGrid,
     _advance_batch,
+    _fbm_factors,
+    _oracle_from_dy,
     clt_statistics,
     fbm_increment_cholesky,
     kernel_weight_matrix,
@@ -86,6 +90,30 @@ def _digest(*arrays):
     for a in arrays:
         h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     return h.hexdigest()
+
+
+def _reference_fbm_chunk(params, grid, z):
+    """The physical route stepped per chunk: ``dW = chol z``, the Euler
+    loop, ``Y = weights dX`` and ``_oracle_from_dy``; returns
+    ``(dW, Y, Q, S, num)``."""
+    chol = fbm_increment_cholesky(params.hurst, grid)
+    weights = kernel_weight_matrix(params, grid)
+    n, m = z.shape
+    dt = np.diff(grid.nodes)
+    dW = chol @ z
+    X = np.zeros(m)
+    dX = np.empty((n, m))
+    for i in range(n):
+        Xn = X + params.theta * X * dt[i] + dW[i]
+        dX[i] = Xn - X
+        X = Xn
+    Y = weights @ dX
+    Q, S, num = _oracle_from_dy(params, grid, Y)
+    return dW, Y, Q, S, num
+
+
+def _max_rel(a, b):
+    return float(np.max(np.abs(a - b) / np.abs(b)))
 
 
 class TestGrid:
@@ -336,6 +364,89 @@ class TestFbmRoute:
         stat = ks_2samp(rf.s_terminal, rm.s_terminal).statistic
         crit = 1.628 * math.sqrt(2.0 / 1500.0)
         assert stat < crit
+
+    @pytest.mark.parametrize("T, n, replicates", [(5.0, 128, 64), (10.0, 512, 700)])
+    def test_batch_matches_per_step_reference(self, T, n, replicates):
+        # 700 paths in chunks of 256 end on a partial chunk
+        g = make_grid(T, n)
+        r = simulate_fbm_batch(P, g, seed=13, replicates=replicates, chunk=256)
+        s_parts, th_parts = [], []
+        for k, lo in enumerate(range(0, replicates, 256)):
+            gen = RngSpec(seed=13, stream_id=k).generator()
+            z = gen.standard_normal((n, min(256, replicates - lo)))
+            *_, S, num = _reference_fbm_chunk(P, g, z)
+            s_parts.append(S)
+            th_parts.append(num / S)
+        assert _max_rel(r.s_terminal, np.concatenate(s_parts)) <= 1e-12
+        assert _max_rel(r.theta_hat, np.concatenate(th_parts)) <= 1e-12
+
+    def test_oracle_matches_reference_path(self):
+        g = make_grid(5.0, 128)
+        rng = RngSpec(seed=21, stream_id=3)
+        p = simulate_fbm_oracle(P, g, rng)
+        z = rng.generator().standard_normal((g.n_intervals, 1))
+        dW, Y, Q, S, num = _reference_fbm_chunk(P, g, z)
+        dq = np.diff(g.nodes ** (2.0 - 2.0 * P.hurst)) / P.lambda_h
+        Qfull = np.concatenate(([0.0], Q[:, 0]))
+        S_path = np.concatenate(([0.0], np.cumsum(Qfull[:-1] ** 2 * dq)))
+        for got, ref in ((p.M, np.cumsum(dW[:, 0])), (p.Y, Y[:, 0]),
+                         (p.Q, Q[:, 0]), (p.S, S_path[1:])):
+            assert got[0] == 0.0
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(got[-ref.size:] - ref)) <= 1e-12 * scale
+        assert p.s_terminal == pytest.approx(float(S[0]), rel=1e-12)
+        assert p.theta_hat == pytest.approx(float(num[0] / S[0]), rel=1e-12)
+
+    def test_oracle_is_a_one_path_batch(self):
+        g = make_grid(5.0, 128)
+        p = simulate_fbm_oracle(P, g, RngSpec(seed=8, stream_id=0))
+        r = simulate_fbm_batch(P, g, seed=8, replicates=1)
+        assert p.s_terminal == pytest.approx(float(r.s_terminal[0]), rel=1e-12)
+        assert p.theta_hat == pytest.approx(float(r.theta_hat[0]), rel=1e-12)
+
+    def test_folded_map_is_lower_triangular(self):
+        g = make_grid(5.0, 128)
+        chol, K = _fbm_factors(P, g)
+        assert not np.any(np.triu(K, 1))
+        assert not np.any(np.triu(chol, 1))
+
+    def test_factor_cache(self, monkeypatch):
+        monkeypatch.setattr(sim, "_fbm_cache", None)
+        g = make_grid(5.0, 128)
+        chol, K = _fbm_factors(P, g)
+        again = _fbm_factors(P, make_grid(5.0, 128))
+        assert again[0] is chol and again[1] is K
+        for factor in (chol, K):
+            with pytest.raises(ValueError):
+                factor[0, 0] = 1.0
+        others = [
+            (ModelParams(theta=-2.0, hurst=0.75), g),
+            (ModelParams(theta=-1.0, hurst=0.6), g),
+            (P, make_grid(5.0, 129)),
+            (P, g),
+        ]
+        for params, grid in others:
+            new_chol, new_K = _fbm_factors(params, grid)
+            assert new_K is not K
+            assert sim._fbm_cache[1] is new_chol and sim._fbm_cache[2] is new_K
+            chol, K = new_chol, new_K
+        # only the last entry is kept: P on g was rebuilt, equal to the first
+        assert K is not again[1]
+        assert np.array_equal(K, again[1])
+
+    def test_factor_cache_shared_across_threads(self, monkeypatch):
+        # more threads than cores race for one entry; all must get it
+        monkeypatch.setattr(sim, "_fbm_cache", None)
+        g = make_grid(5.0, 128)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(_fbm_factors, P, g) for _ in range(32)]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        assert all(c is got[0][0] and k is got[0][1] for c, k in got)
 
 
 class TestCltStatistics:
