@@ -3,8 +3,6 @@ process: rate functions, tail prefactors, saddlepoint machinery, exact
 path simulation and validation oracles.
 """
 
-import importlib
-
 from .energy import (
     EnergyBranch,
     SaddleSolution,
@@ -66,33 +64,16 @@ from .special import (
     r_h_coeffs,
     r_h_scaled,
 )
-# the names of ``validate``, which are loaded on first use (``__getattr__``)
-_VALIDATE_NAMES = frozenset({
-    "KSReport",
-    "MCReport",
-    "OracleReport",
-    "clt_test",
-    "gamma_contour_oracle",
-    "gamma_contour_series",
-    "ks_critical_value",
-    "legendre_oracle",
-    "mc_tail",
-})
-
-
-def __getattr__(name):
-    """Import ``validate`` when one of its names is first asked for.
-
-    ``validate`` imports ``scipy.stats``, ``scipy.optimize`` and
-    ``scipy.integrate``, about a second of start-up that the closed forms,
-    the simulator and the CLI's scalar commands never use. So ``import
-    fousldp`` leaves it out, and ``from fousldp import mc_tail`` or
-    ``fousldp.validate`` loads it then.
-    """
-    if name == "validate" or name in _VALIDATE_NAMES:
-        validate = importlib.import_module(".validate", __name__)
-        return validate if name == "validate" else getattr(validate, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+from .validate import (
+    KSReport,
+    MCReport,
+    OracleReport,
+    clt_test,
+    gamma_contour_oracle,
+    gamma_contour_series,
+    ks_critical_value,
+    legendre_oracle,
+    mc_tail,
+)
 
 __version__ = "0.1.0"

@@ -21,9 +21,11 @@ parameter.
 Exit codes: 0 success, 2 invalid parameter values, 3 numerical failure,
 64 usage errors (unknown subcommand or flag, or a flag abbreviated).
 
-``validate``, and with it ``scipy.stats``, loads only in ``mc``, ``clt`` and
-``oracle``, and ``scipy.optimize`` only in ``saddle``, so that the scalar
-commands start quickly.
+scipy is slow to import, so each command loads only the scipy module it
+calls: ``rate``, ``tail``, ``simulate`` and ``mc`` load none,
+``oracle --kind legendre`` and ``saddle`` load ``scipy.optimize``,
+``oracle --kind gamma-contour`` loads ``scipy.integrate`` (which imports
+``scipy.optimize`` itself) and ``clt`` loads ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import energy, mle, special
+from . import energy, mle, special, validate
 from .model import DomainError, ModelParams
 from .sim import RngSpec, make_grid, simulate_martingale_batch, simulate_martingale_path
 
@@ -200,8 +202,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    from . import validate
-
     params = _params(args)
     rows = []
     for c in _c_list(args):
@@ -232,8 +232,6 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_clt(args) -> int:
-    from . import validate
-
     params = _params(args)
     e_rep, m_rep = validate.clt_test(
         params, args.T, args.replicates, args.seed, grid_n=args.grid_n
@@ -254,8 +252,6 @@ def _cmd_clt(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from . import validate
-
     params = None
     rows = []
     if args.kind == "legendre":

@@ -14,6 +14,11 @@ ground truth obtained by entirely different means:
   used by the boundary-regime analysis against adaptive quadrature;
 * ``clt_test`` runs Kolmogorov-Smirnov tests of the standardized central
   limit statistics against the standard normal law.
+
+scipy is slow to import, so each function loads only what it calls:
+``legendre_oracle`` loads ``scipy.optimize``, ``gamma_contour_oracle``
+``scipy.integrate`` and ``clt_test`` ``scipy.stats``; ``mc_tail`` and
+``ks_critical_value`` load no scipy module.
 """
 
 from __future__ import annotations
@@ -23,12 +28,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, optimize
-from scipy.stats import kstest
 
 from . import energy, mle
 from .model import ModelParams
-from .sim import BatchResult, TimeGrid, make_grid, simulate_martingale_batch
+from .sim import (
+    BatchResult,
+    clt_statistics,
+    make_grid,
+    simulate_martingale_batch,
+)
 
 __all__ = [
     "MCReport",
@@ -176,6 +184,8 @@ def legendre_oracle(params: ModelParams, target: str, c: float) -> OracleReport:
     statistic. Grid scan followed by bounded refinement; the boundary
     maximizer beyond the steepness threshold is reported in the note.
     """
+    from scipy.optimize import minimize_scalar
+
     eps = 1e-9
     if target == "energy":
         hi = params.a_h - eps
@@ -195,8 +205,8 @@ def legendre_oracle(params: ModelParams, target: str, c: float) -> OracleReport:
     j = int(np.argmin(vals))
     blo = grid[max(j - 1, 0)]
     bhi = grid[min(j + 1, grid.size - 1)]
-    res = optimize.minimize_scalar(obj, bounds=(blo, bhi), method="bounded",
-                                   options={"xatol": 1e-12})
+    res = minimize_scalar(obj, bounds=(blo, bhi), method="bounded",
+                          options={"xatol": 1e-12})
     best = max(-res.fun, float(-vals[j]))
     at_boundary = j >= grid.size - 2
     note = "maximizer at domain boundary" if at_boundary else "interior maximizer"
@@ -273,6 +283,8 @@ def gamma_contour_oracle(
     1e-16 and adaptive quadrature is applied to the real and imaginary
     parts separately.
     """
+    from scipy.integrate import quad
+
     if min(a, nu, gamma, sigma2, T) <= 0:
         raise ValueError("all of a, nu, gamma, sigma2, T must be positive")
     if ell < 0:
@@ -289,10 +301,10 @@ def gamma_contour_oracle(
     opts = dict(limit=4000, epsabs=1e-14, epsrel=1e-13)
     g_re = lambda u: envelope(u).real
     g_im = lambda u: envelope(u).imag
-    rc, e1 = integrate.quad(g_re, -U, U, weight="cos", wvar=gamma, **opts)
-    rs, e2 = integrate.quad(g_im, -U, U, weight="sin", wvar=gamma, **opts)
-    ic, e3 = integrate.quad(g_im, -U, U, weight="cos", wvar=gamma, **opts)
-    is_, e4 = integrate.quad(g_re, -U, U, weight="sin", wvar=gamma, **opts)
+    rc, e1 = quad(g_re, -U, U, weight="cos", wvar=gamma, **opts)
+    rs, e2 = quad(g_im, -U, U, weight="sin", wvar=gamma, **opts)
+    ic, e3 = quad(g_im, -U, U, weight="cos", wvar=gamma, **opts)
+    is_, e4 = quad(g_re, -U, U, weight="sin", wvar=gamma, **opts)
     re = rc + rs
     im = ic - is_
     if max(e1, e2, e3, e4) > 1e-8:
@@ -332,7 +344,7 @@ def clt_test(
     result: BatchResult | None = None,
 ) -> tuple[KSReport, KSReport]:
     """KS tests of the standardized energy and estimator samples vs N(0,1)."""
-    from .sim import clt_statistics
+    from scipy.stats import kstest
 
     if replicates < 1000:
         raise ValueError("clt_test requires at least 1e3 replicates")

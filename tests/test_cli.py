@@ -331,13 +331,12 @@ class TestStartup:
         assert via_m.startswith("target,c,rate,branch\n")
 
     def test_scalar_commands_load_no_heavy_modules(self):
-        # scipy.stats, scipy.optimize and validate take about a second to
-        # import; the scalar commands need none of them
+        # scipy.stats and scipy.optimize take about a second to import; the
+        # scalar commands need neither
         code = """
 import contextlib, io, json, sys
 from fousldp import cli
-heavy = ["scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.special",
-         "fousldp.validate"]
+heavy = ["scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.special"]
 model = ["--theta", "-1", "--hurst", "0.75"]
 loaded = {}
 with contextlib.redirect_stdout(io.StringIO()):
@@ -359,16 +358,15 @@ print(json.dumps(loaded))
         assert loaded["tail"] == []
         assert "scipy.optimize" in loaded["saddle"]
         assert "scipy.stats" not in loaded["saddle"]
-        assert "fousldp.validate" not in loaded["saddle"]
         assert loaded["same"] == [True, True, True]
 
     def test_simulate_loads_no_scipy(self, tmp_path):
-        # the martingale route needs neither scipy nor validate; the BLAS
-        # product of the physical route is loaded inside that route only
+        # the martingale route needs no scipy; the BLAS product of the
+        # physical route is loaded inside that route only
         code = f"""
 import contextlib, io, json, sys
 from fousldp import cli
-heavy = ["scipy.special", "scipy.linalg", "fousldp.validate"]
+heavy = ["scipy.special", "scipy.linalg"]
 sim = ["simulate", "--theta", "-1", "--hurst", "0.75", "--T", "5",
        "--grid-n", "150", "--replicates", "2", "--seed", "3",
        "--out", {str(tmp_path / "out.csv")!r}]
@@ -380,3 +378,42 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps(loaded))
 """
         assert json.loads(_python(["-c", code])) == {"simulate": [], "dump": []}
+
+    SCIPY = ["scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.special",
+             "scipy.linalg"]
+    MODEL = ["--theta", "-1", "--hurst", "0.75"]
+
+    @pytest.mark.parametrize("argv, wanted, unwanted", [
+        (["mc", *MODEL, "--target", "energy", "--c", "0.7", "--T", "5",
+          "--grid-n", "150", "--replicates", "10000"], [], SCIPY),
+        (["oracle", *MODEL, "--kind", "legendre", "--c", "0.7"],
+         ["scipy.optimize"], ["scipy.stats", "scipy.integrate"]),
+        # scipy.integrate itself imports scipy.optimize
+        (["oracle", "--kind", "gamma-contour", "--T", "1000"],
+         ["scipy.integrate"], ["scipy.stats"]),
+        (["clt", *MODEL, "--T", "5", "--grid-n", "150", "--replicates", "1000"],
+         ["scipy.stats"], []),
+    ], ids=["mc", "oracle-legendre", "oracle-gamma-contour", "clt"])
+    def test_each_command_loads_only_the_scipy_it_calls(self, argv, wanted,
+                                                        unwanted):
+        # each validation function imports its own scipy module, so one
+        # command's import cost is not paid by the others
+        code = f"""
+import contextlib, io, json, sys
+from fousldp import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run({argv!r}) == 0
+print(json.dumps([m for m in {self.SCIPY!r} if m in sys.modules]))
+"""
+        loaded = json.loads(_python(["-c", code]))
+        assert [m for m in wanted if m not in loaded] == []
+        assert [m for m in unwanted if m in loaded] == []
+
+    def test_bare_import_loads_no_scipy(self):
+        code = f"""
+import json, sys
+import fousldp
+print(json.dumps([[m for m in {self.SCIPY!r} if m in sys.modules],
+                  "fousldp.validate" in sys.modules]))
+"""
+        assert json.loads(_python(["-c", code])) == [[], True]

@@ -258,7 +258,8 @@ class TestOrder1:
         c = 0.7
         implied = {}
         for T in (400.0, 800.0):
-            exact = contour_tail_mpmath(P.theta, P.hurst, 0.0, 1.0, c * T, T, 0.245)
+            exact = contour_tail_mpmath(P.theta, P.hurst, 0.0, 1.0, c * T, T, 0.245,
+                                        dps=40)
             lead = tail_easy(P, c, T).value(T)
             implied[T] = (exact / lead - 1.0) * T
         rich = 2.0 * implied[800.0] - implied[400.0]
