@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import ModelParams, modified_terms
+from .model import ModelParams, check_level_and_horizon
 from .special import gamma_real
 
 __all__ = [
@@ -112,6 +112,7 @@ def boundary_tolerance(params: ModelParams, T: float) -> float:
 
 def rate_energy(params: ModelParams, c: float) -> float:
     """Large-deviation rate of ``S_T/T`` at level ``c`` (+inf for c <= 0)."""
+    check_level_and_horizon(c)
     if c <= 0:
         return math.inf
     theta = params.theta
@@ -122,6 +123,7 @@ def rate_energy(params: ModelParams, c: float) -> float:
 
 
 def classify_branch(params: ModelParams, c: float, T: float) -> EnergyBranch:
+    check_level_and_horizon(c, T)
     if not c > 0:
         raise ValueError(f"tail level must be positive, got c={c}")
     cs = c_star(params)
@@ -334,7 +336,10 @@ def tail_boundary(params: ModelParams, T: float) -> TailApprox:
 def tail_energy(
     params: ModelParams, c: float, T: float, with_order1: bool = False
 ) -> TailApprox:
-    """Branch-dispatched tail approximation for the energy."""
+    """Branch-dispatched tail approximation for the energy.
+
+    The classification rejects a non-finite ``c`` or a bad ``T``.
+    """
     branch = classify_branch(params, c, T)
     if branch is EnergyBranch.BOUNDARY:
         return tail_boundary(params, T)
@@ -362,6 +367,7 @@ def saddle_solve(params: ModelParams, c: float, T: float) -> SaddleSolution:
     increasing derivative on the bracket, diverging at the boundary, so a
     bracketed root always exists for levels at or beyond the threshold.
     """
+    check_level_and_horizon(c, T)
     theta = params.theta
     d = params.delta_h
     a_h = params.a_h

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .energy import TailApprox
-from .model import ModelParams
+from .model import ModelParams, check_level_and_horizon
 from .special import gamma_real
 
 __all__ = [
@@ -71,6 +71,7 @@ def rate_mle(params: ModelParams, c: float) -> float:
 
     Free of the Hurst index by construction.
     """
+    check_level_and_horizon(c)
     theta = params.theta
     if c < theta / 3.0:
         return -((c - theta) ** 2) / (4.0 * c)
@@ -82,6 +83,7 @@ def boundary_tolerance_mle(params: ModelParams, T: float) -> float:
 
 
 def classify_mle(params: ModelParams, c: float, T: float) -> MleBranch:
+    check_level_and_horizon(c, T)
     theta = params.theta
     tol = boundary_tolerance_mle(params, T)
     if abs(c - theta / 3.0) <= tol:
@@ -234,7 +236,10 @@ def tail_mle_boundary(params: ModelParams, T: float) -> TailApprox:
 
 
 def tail_mle(params: ModelParams, c: float, T: float) -> TailApprox:
-    """Branch-dispatched tail approximation for the estimator."""
+    """Branch-dispatched tail approximation for the estimator.
+
+    The classification rejects a non-finite ``c`` or a bad ``T``.
+    """
     branch = classify_mle(params, c, T)
     if branch is MleBranch.EASY:
         return tail_mle_easy(params, c, T)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 from .special import gamma_real, r_h_scaled
 
@@ -46,6 +47,20 @@ BOUNDARY_MARGIN = 1e-12
 
 class DomainError(ValueError):
     """Raised when a tilt point lies outside the effective domain."""
+
+
+def check_level_and_horizon(c: float, T: Optional[float] = None) -> None:
+    """Reject a non-finite tail level ``c`` or a horizon ``T`` that is not
+    finite and positive, naming the argument.
+
+    Shared by the rate, tail and saddlepoint entry points, which would
+    otherwise divide by zero, take a log of a negative number or return
+    ``nan`` for such inputs.
+    """
+    if not math.isfinite(c):
+        raise ValueError(f"tail level c must be finite, got c={c}")
+    if T is not None and not (math.isfinite(T) and T > 0):
+        raise ValueError(f"horizon T must be finite and positive, got T={T}")
 
 
 class LogArgumentError(ArithmeticError):

@@ -201,6 +201,26 @@ class TestExitCodes:
     def test_missing_model_parameters(self, capsys):
         assert _run(["rate", "--target", "energy", "--c", "1.0"]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, name", [
+        (["tail", "--target", "energy", "--c", "0.7", "--T", "0"], "T"),
+        (["tail", "--target", "mle", "--c", "-0.6", "--T", "0"], "T"),
+        (["saddle", "--c", "4", "--T", "0"], "T"),
+        (["tail", "--target", "energy", "--c", "0.7", "--T", "-1"], "T"),
+        (["tail", "--target", "energy", "--c", "0.7", "--T", "nan"], "T"),
+        (["tail", "--target", "mle", "--c", "-0.6", "--T", "nan"], "T"),
+        (["rate", "--target", "energy", "--c", "0.7", "--T", "0"], "T"),
+        (["rate", "--target", "energy", "--c", "nan"], "c"),
+        (["rate", "--target", "mle", "--c", "nan"], "c"),
+        (["saddle", "--c", "inf"], "c"),
+        (["tail", "--target", "mle", "--c", "inf"], "c"),
+    ])
+    def test_bad_level_or_horizon_is_invalid(self, argv, name, capsys):
+        code = _run(argv + ["--theta", "-1", "--hurst", "0.75"])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INVALID
+        assert f" {name} must be finite" in err
+        assert "Traceback" not in err
+
     def test_numerical_failure_maps_to_three(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise ArithmeticError("forced")

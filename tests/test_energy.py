@@ -103,6 +103,19 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify_branch(P, 0.0, 100.0)
 
+    @pytest.mark.parametrize("c, T, name", [
+        (math.nan, 100.0, "c"), (math.inf, 100.0, "c"), (-math.inf, 100.0, "c"),
+        (0.7, 0.0, "T"), (0.7, -1.0, "T"), (0.7, math.nan, "T"), (0.7, math.inf, "T"),
+    ])
+    def test_bad_level_or_horizon_named(self, c, T, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            tail_energy(P, c, T)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            saddle_solve(P, 4.0 if name == "T" else c, T)
+        if name == "c":
+            with pytest.raises(ValueError, match="c must be finite"):
+                rate_energy(P, c)
+
 
 class TestDerivatives:
     @pytest.mark.parametrize("a", [-1.0, 0.0, 0.2, 0.4])

@@ -108,6 +108,17 @@ class TestClassify:
         assert classify_mle(P, 0.0, 100.0) is MleBranch.ZERO
         assert classify_mle(P, 0.5, 100.0) is MleBranch.HARD
 
+    @pytest.mark.parametrize("c, T, name", [
+        (math.nan, 100.0, "c"), (math.inf, 100.0, "c"), (-math.inf, 100.0, "c"),
+        (-0.6, 0.0, "T"), (-0.6, -1.0, "T"), (-0.6, math.nan, "T"), (-0.6, math.inf, "T"),
+    ])
+    def test_bad_level_or_horizon_named(self, c, T, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            tail_mle(P, c, T)
+        if name == "c":
+            with pytest.raises(ValueError, match="c must be finite"):
+                rate_mle(P, c)
+
 
 class TestTails:
     def test_easy_prefactor_structure(self):

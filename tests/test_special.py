@@ -6,8 +6,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from fousldp import special
 from fousldp.special import (
     BESSEL_CROSSOVER,
+    _asymptotic_sum,
     _bessel_i_asym_scaled,
     _bessel_i_series_scaled,
     bessel_i,
@@ -112,8 +114,8 @@ class TestRH:
             expect = math.exp(2.0 * z) + math.exp(-2.0 * z)
             assert r_h(0.5, float(z)) == pytest.approx(expect, rel=1e-12)
 
-    @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.9])
-    @pytest.mark.parametrize("z", [0.1, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.9, 0.99])
+    @pytest.mark.parametrize("z", [0.1, 1.0, 10.0, 20.0, 25.0, 100.0, 1000.0])
     def test_against_extended_precision(self, hurst, z):
         h = mp.mpf(hurst)
         zz = mp.mpf(z)
@@ -129,6 +131,41 @@ class TestRH:
         assert r_h_scaled(hurst, z) == pytest.approx(
             float(ref * mp.exp(-2 * zz)), rel=1e-11
         )
+
+    @pytest.mark.parametrize("hurst", [0.5000001, 0.55, 0.75, 0.9, 0.99])
+    def test_pair_sums_depend_on_order_squared(self, hurst):
+        # the product branch rests on the sums of nu and -nu being equal
+        for nu in (hurst, 1.0 - hurst):
+            for z in np.geomspace(BESSEL_CROSSOVER, 1e6, 30):
+                assert _asymptotic_sum(nu, float(z)) == _asymptotic_sum(-nu, float(z))
+
+    def test_product_branch_matches_four_factor_form(self):
+        for hurst in (0.5000001, 0.55, 0.75, 0.9, 0.99):
+            s = math.sin(math.pi * hurst)
+            for z in np.geomspace(BESSEL_CROSSOVER, 1e6, 50):
+                z = float(z)
+                four = bessel_i_scaled(hurst, z) * bessel_i_scaled(
+                    1.0 - hurst, z
+                ) + bessel_i_scaled(-hurst, z) * bessel_i_scaled(hurst - 1.0, z)
+                ref = math.pi * z / s * four
+                assert abs(r_h_scaled(hurst, z) - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.9, 0.99])
+    def test_continuous_across_crossover(self, hurst):
+        below = r_h_scaled(hurst, math.nextafter(BESSEL_CROSSOVER, 0.0))
+        at = r_h_scaled(hurst, BESSEL_CROSSOVER)
+        assert abs(below - at) <= 1e-10 * at
+
+    def test_product_branch_runs_two_sums(self, monkeypatch):
+        calls = []
+
+        def counted(nu, z):
+            calls.append(nu)
+            return _asymptotic_sum(nu, z)
+
+        monkeypatch.setattr(special, "_asymptotic_sum", counted)
+        r_h_scaled(0.75, 50.0)
+        assert len(calls) == 2
 
     def test_positivity(self):
         for hurst in (0.55, 0.75, 0.95):
