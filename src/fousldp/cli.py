@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import energy, mle, special, validate
-from .model import DomainError, ModelParams
+from .model import DomainError, ModelParams, check_level_and_horizon
 from .sim import RngSpec, make_grid, simulate_martingale_batch, simulate_martingale_path
 
 __all__ = ["main", "run"]
@@ -113,6 +113,8 @@ def _cmd_rate(args) -> int:
     params = _params(args)
     rows = []
     for c in _c_list(args):
+        # the energy rate takes no horizon, and its branch is read only for c > 0
+        check_level_and_horizon(c, args.T)
         if args.target == "energy":
             rate = energy.rate_energy(params, c)
             branch = energy.classify_branch(params, c, args.T).name if c > 0 else "INFINITE"
@@ -127,11 +129,9 @@ def _cmd_rate(args) -> int:
 def _cmd_tail(args) -> int:
     params = _params(args)
     rows = []
+    tail = validate._TAILS[args.target]
     for c in _c_list(args):
-        if args.target == "energy":
-            approx = energy.tail_energy(params, c, args.T, with_order1=args.order1)
-        else:
-            approx = mle.tail_mle(params, c, args.T)
+        approx = tail(params, c, args.T, with_order1=args.order1)
         rows.append(
             {
                 "target": args.target,
@@ -203,8 +203,21 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_mc(args) -> int:
     params = _params(args)
+    levels = _c_list(args)
+    # one batch serves every level; every level is checked before it is
+    # drawn, and none is drawn if every level is underpowered
+    underpowered = [
+        validate._mc_closed_form(
+            params, args.target, c, args.T, args.replicates, args.order1
+        )[2]
+        for c in levels
+    ]
+    result = None
+    if not all(underpowered):
+        grid = make_grid(args.T, args.grid_n)
+        result = simulate_martingale_batch(params, grid, args.seed, args.replicates)
     rows = []
-    for c in _c_list(args):
+    for c in levels:
         rep = validate.mc_tail(
             params,
             args.target,
@@ -214,6 +227,7 @@ def _cmd_mc(args) -> int:
             args.seed,
             grid_n=args.grid_n,
             with_order1=args.order1,
+            result=result,
         )
         rows.append(
             {

@@ -235,11 +235,18 @@ def tail_mle_boundary(params: ModelParams, T: float) -> TailApprox:
     )
 
 
-def tail_mle(params: ModelParams, c: float, T: float) -> TailApprox:
+def tail_mle(
+    params: ModelParams, c: float, T: float, with_order1: bool = False
+) -> TailApprox:
     """Branch-dispatched tail approximation for the estimator.
 
-    The classification rejects a non-finite ``c`` or a bad ``T``.
+    The classification rejects a non-finite ``c`` or a bad ``T``. The
+    estimator has no order-1 (1/T) correction here, so ``with_order1``
+    exists to share the signature of ``energy.tail_energy`` and must be
+    false.
     """
+    if with_order1:
+        raise ValueError("the order-1 correction is available for the energy tail only")
     branch = classify_mle(params, c, T)
     if branch is MleBranch.EASY:
         return tail_mle_easy(params, c, T)

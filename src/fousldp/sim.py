@@ -31,17 +31,23 @@ The two routes must agree in distribution; the test suite compares them
 with a two-sample Kolmogorov-Smirnov statistic.
 
 The oracle route discretizes all its integrals with left-point
-(Ito-consistent) sums. Reproducibility contract: identical (seed,
-stream_id, grid) draw identical normals, whatever the execution order.
-The martingale route turns them into bit-identical output regardless of
-thread count. Its batch runs its chunks concurrently on the cores the
-process may use, one stream per chunk; the golden digests in
-``tests/test_sim.py::TestReproducibility`` and the comparison there of the
-pooled batch with a serial loop over the chunks enforce this. The oracle
-route maps its normals through BLAS matrix products, whose rounding
-depends on the number of BLAS threads: its output is bit-identical for a
-fixed thread count and moves at rounding level (below 1e-13 relative)
-when that count changes.
+(Ito-consistent) sums.
+
+Each route has one step, run by one driver. A single martingale path is
+the batch kernel run on one path, keeping its trajectories. Both batches
+go through ``_run_chunks``: fixed-size chunks, chunk ``k`` drawing from
+stream ``k`` of the seed, run concurrently on a thread pool with one
+worker per core the process may use, and concatenated in chunk order.
+
+Reproducibility contract: identical (seed, stream_id, grid) draw
+identical normals, whatever the execution order. The martingale route
+turns them into bit-identical output regardless of thread count; the
+golden digests in ``tests/test_sim.py::TestReproducibility`` and the
+comparisons there of each pooled batch with a serial loop over its chunks
+enforce this. The oracle route maps its normals through BLAS matrix
+products, whose rounding depends on the number of BLAS threads: its
+output is bit-identical for a fixed thread count and moves at rounding
+level (below 1e-13 relative) when that count changes.
 """
 
 from __future__ import annotations
@@ -237,43 +243,38 @@ def simulate_martingale_path(
 ) -> SimPath:
     """Simulate one path of ``(M, Y, Q, S)`` in the martingale domain.
 
-    Same scheme and estimator as the batch, stepped in scalars.
+    The batch kernel run on one path, keeping its trajectories. ``S`` is
+    the running trapezoidal sum ``sum_i (Q_i^2 + Q_{i+1}^2)/2 dq_i``, and
+    ``theta_hat`` divides the Ito sum by its last value.
     """
-    dq, h_dtr, c_q, c_dm, g, _ = _trapezoid_coefficients(params, grid)
-    n = grid.n_intervals
-    dM = rng.generator().standard_normal(n) * np.sqrt(dq)
-    Y = np.zeros(n + 1)
-    Q = np.zeros(n + 1)
-    y = q = num = 0.0
-    for i, (dm, hd, cq, cd, gi) in enumerate(
-        zip(dM.tolist(), h_dtr.tolist(), c_q.tolist(), c_dm.tolist(), g.tolist())
-    ):
-        num += q * dm
-        p = q + hd * y
-        dy = cq * (q + p) + cd * dm
-        q = p + gi * dy
-        y += dy
-        Y[i + 1] = y
-        Q[i + 1] = q
-    S = np.cumsum((Q[:-1] ** 2 + Q[1:] ** 2) / 2.0 * dq)
+    dM, Y, Q = (np.zeros((grid.n_intervals + 1, 1)) for _ in range(3))
+    _, num = _advance_batch(params, grid, rng.generator(), 1, trajectories=(dM, Y, Q))
+    Q = Q[:, 0]
+    S = np.cumsum((Q[:-1] ** 2 + Q[1:] ** 2) / 2.0 * _dq_increments(params, grid))
     return SimPath(
         grid=grid,
-        M=np.concatenate(([0.0], np.cumsum(dM))),
-        Y=Y,
+        M=np.cumsum(dM[:, 0]),
+        Y=Y[:, 0],
         Q=Q,
         S=np.concatenate(([0.0], S)),
-        theta_hat=params.theta + num / float(S[-1]),
+        theta_hat=params.theta + float(num[0]) / float(S[-1]),
     )
 
 
 def _advance_batch(
-    params: ModelParams, grid: TimeGrid, gen: np.random.Generator, m: int
+    params: ModelParams,
+    grid: TimeGrid,
+    gen: np.random.Generator,
+    m: int,
+    trajectories: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Terminal energy ``S`` and Ito sum ``sum_i Q_i dM_i`` for ``m`` paths.
 
     The standard normals are drawn from ``gen`` as one ``(n_intervals, m)``
     array, in row blocks into one reused buffer; see
-    ``_trapezoid_coefficients`` for the step.
+    ``_trapezoid_coefficients`` for the step. ``trajectories``, if given,
+    is a tuple of three ``(n_intervals + 1, m)`` arrays whose rows 1..n
+    receive ``dM``, ``Y`` and ``Q`` after each step; row 0 is left as it is.
     """
     dq, h_dtr, c_q, c_dm, g, w = _trapezoid_coefficients(params, grid)
     sd = np.sqrt(dq)
@@ -290,6 +291,8 @@ def _advance_batch(
         block = buf[: min(_DRAW_ROWS, n - lo)]
         gen.standard_normal(out=block)
         block *= sd[lo : lo + block.shape[0], None]
+        if trajectories is not None:
+            trajectories[0][lo + 1 : lo + 1 + block.shape[0]] = block
         for i, dM in enumerate(block, start=lo):
             np.multiply(Q, dM, out=tmp)
             num += tmp
@@ -305,6 +308,9 @@ def _advance_batch(
             np.multiply(Q, Q, out=tmp)
             tmp *= w[i]
             S += tmp
+            if trajectories is not None:
+                trajectories[1][i + 1] = Y
+                trajectories[2][i + 1] = Q
     return S, num
 
 
@@ -313,6 +319,36 @@ def _usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def _run_chunks(
+    grid: TimeGrid, seed: int, replicates: int, chunk: int, step
+) -> BatchResult:
+    """The batch driver shared by both routes.
+
+    Splits ``replicates`` paths into chunks of ``chunk`` (the last one
+    partial) and runs ``step(gen, m) -> (S_T, theta_hat)`` on chunk ``k``
+    with the generator of stream ``k``, so the output is bit-identical for
+    a given (seed, grid, replicates, chunk) regardless of scheduling. The
+    chunks run concurrently on a thread pool with one worker per core the
+    process may use (its CPU affinity), at most one per chunk; numpy and
+    BLAS release the GIL in the draws, the ufunc loops and the products.
+    """
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    sizes = [min(chunk, replicates - lo) for lo in range(0, replicates, chunk)]
+
+    def run(k):
+        return step(RngSpec(seed=seed, stream_id=k).generator(), sizes[k])
+
+    with ThreadPoolExecutor(max_workers=min(_usable_cores(), len(sizes))) as pool:
+        parts = list(pool.map(run, range(len(sizes))))
+    s_parts, th_parts = zip(*parts)
+    return BatchResult(
+        s_terminal=np.concatenate(s_parts),
+        theta_hat=np.concatenate(th_parts),
+        grid=grid,
+    )
 
 
 def simulate_martingale_batch(
@@ -325,31 +361,17 @@ def simulate_martingale_batch(
     """Simulate terminal ``(S_T, theta_hat_T)`` for many independent paths.
 
     Paths are generated in fixed-size chunks, one RNG stream per chunk
-    (stream index = chunk index), so the output is bit-identical for a
-    given (seed, grid, replicates, chunk) regardless of scheduling. The
-    chunks run concurrently on a thread pool with one worker per core the
-    process may use (its CPU affinity), at most one per chunk. numpy
-    releases the GIL in the normal draws and in the ufunc loops over a
-    chunk's rows. The golden digests and the serial-loop comparison in
-    ``tests/test_sim.py::TestReproducibility`` enforce the invariance.
+    (stream index = chunk index), run concurrently by ``_run_chunks``. The
+    golden digests and the serial-loop comparison in
+    ``tests/test_sim.py::TestReproducibility`` enforce that the output does
+    not depend on the number of cores.
     """
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    sizes = [min(chunk, replicates - lo) for lo in range(0, replicates, chunk)]
 
-    def run(k):
-        gen = RngSpec(seed=seed, stream_id=k).generator()
-        S, num = _advance_batch(params, grid, gen, sizes[k])
+    def step(gen, m):
+        S, num = _advance_batch(params, grid, gen, m)
         return S, params.theta + num / S
 
-    with ThreadPoolExecutor(max_workers=min(_usable_cores(), len(sizes))) as pool:
-        parts = list(pool.map(run, range(len(sizes))))
-    s_parts, th_parts = zip(*parts)
-    return BatchResult(
-        s_terminal=np.concatenate(s_parts),
-        theta_hat=np.concatenate(th_parts),
-        grid=grid,
-    )
+    return _run_chunks(grid, seed, replicates, chunk, step)
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +550,9 @@ def simulate_fbm_batch(
 ) -> BatchResult:
     """Terminal statistics for many physical-route paths.
 
-    Same chunked streams as the martingale batch: chunk ``k`` draws its
-    ``(n, m)`` standard normals ``z`` from stream ``k``. The whole map from
+    Same driver and streams as the martingale batch: chunk ``k`` draws its
+    ``(n, m)`` standard normals ``z`` from stream ``k``, and the chunks run
+    concurrently on the same thread pool. The whole map from
     ``z`` to ``Y`` (fBM factor, Euler step, kernel weights) is one fixed
     lower-triangular matrix ``K``, built once per (theta, hurst, grid) by
     ``_fbm_factors``, so each chunk costs a single triangular product
@@ -541,23 +564,13 @@ def simulate_fbm_batch(
     """
     _, K = _fbm_factors(params, grid)
     n = grid.n_intervals
-    s_parts, th_parts = [], []
-    done = 0
-    chunk_id = 0
-    while done < replicates:
-        m = min(chunk, replicates - done)
-        gen = RngSpec(seed=seed, stream_id=chunk_id).generator()
+
+    def step(gen, m):
         Y = _whiten(K, gen.standard_normal((n, m)))
         _, S, num = _oracle_from_dy(params, grid, Y)
-        s_parts.append(S)
-        th_parts.append(num / S)
-        done += m
-        chunk_id += 1
-    return BatchResult(
-        s_terminal=np.concatenate(s_parts),
-        theta_hat=np.concatenate(th_parts),
-        grid=grid,
-    )
+        return S, num / S
+
+    return _run_chunks(grid, seed, replicates, chunk, step)
 
 
 def clt_statistics(

@@ -14,16 +14,24 @@ together with the first two coefficients of its large-argument expansion.
 Evaluation strategy: ascending power series for small argument, the
 large-argument asymptotic series (DLMF 10.40.1) for large argument. The
 crossover sits at ``z = 20``; both methods agree to better than 1e-10 on the
-band ``z in [15, 25]``, which is asserted by the test suite.
+band ``z in [15, 25]``, which is asserted by the test suite. Above the
+crossover the reflected ``e^{-2z}`` term of the single Bessel value is
+dropped: for ``z >= 20`` it is below ``4.3e-18`` relative, less than half
+an ulp of the leading sum, so leaving it out changes no bit.
 
-The large-argument series depends on the order only through ``4 nu^2``, so
-the four orders of ``r_H`` fall into two pairs, ``(H, -H)`` and
-``(1-H, H-1)``, each sharing one sum. Above the crossover ``r_H`` is
-assembled from those two sums alone: the reflected ``e^{-2z}`` terms of a
-pair enter with opposite signs and cancel in the product, up to an
-``e^{-4z}`` remainder. The reflected term is dropped from the single Bessel
-value as well: for ``z >= 20`` it is below ``4.3e-18`` relative, less than
-half an ulp of the leading sum, so leaving it out changes no bit.
+``r_H`` needs only two of its four Bessel values. The Wronskian
+(DLMF 10.28.1) with the recurrences for ``I_{nu-1}`` gives
+``I_{-H} I_{H-1} - I_H I_{1-H} = 2 sin(pi H)/(pi z)``, hence
+
+.. math::
+    e^{-2z} r_H(z) = \frac{2\pi z}{\sin(\pi H)}\,
+        \mathrm{Ie}_H(z)\,\mathrm{Ie}_{1-H}(z) + 2 e^{-2z},
+
+with ``Ie`` the scaled Bessel value. Every term is positive, so nothing
+cancels, and one form serves at every ``z``: the scaled values come from
+the series below the crossover and from the asymptotic sums above, where
+``2 pi z Ie_H Ie_{1-H}`` is the product of the two sums and
+``2 e^{-2z}`` is below half an ulp.
 
 All functions are pure and safe for concurrent use.
 """
@@ -146,26 +154,24 @@ def r_h_scaled(hurst: float, z: float) -> float:
     """The combination ``exp(-2z) r_H(z)``, overflow-free.
 
     This is the form used throughout the model:
-    ``r_T(b) = r_h_scaled(H, phi*T/2) - 1`` exactly. Below the crossover it
-    is the product of four scaled Bessel values. Above it, with ``A`` and
-    ``C`` the asymptotic sums of the order pairs ``(H, -H)`` and
-    ``(1-H, H-1)`` and ``s = sin(pi H)``, the four factors are
-    ``(A -+ s e^{-2z} B)/r`` and ``(C -+ s e^{-2z} D)/r`` with
-    ``r = sqrt(2 pi z)``, so the value is ``(AC + s^2 e^{-4z} BD)/s``. The
-    ``BD`` term is below ``1.8e-35`` relative for ``z >= 20`` and is
-    dropped, which leaves two sums in place of eight.
+    ``r_T(b) = r_h_scaled(H, phi*T/2) - 1`` exactly. It is evaluated as
+    ``2 pi z/sin(pi H) Ie_H Ie_{1-H} + 2 e^{-2z}`` (see the module
+    docstring), with ``2 pi z Ie_H Ie_{1-H}`` equal to the product of the
+    two asymptotic sums for ``z >= 20``.
     """
     _check_hurst_half_open(hurst)
     if not z > 0:
         raise ValueError(f"r_h_scaled requires z > 0, got z={z}")
     h = hurst
-    if z >= BESSEL_CROSSOVER:
-        pair_sums = _asymptotic_sum(h, z) * _asymptotic_sum(1.0 - h, z)
-        return pair_sums / math.sin(math.pi * h)
-    prod = bessel_i_scaled(h, z) * bessel_i_scaled(1.0 - h, z) + bessel_i_scaled(
-        -h, z
-    ) * bessel_i_scaled(h - 1.0, z)
-    return math.pi * z / math.sin(math.pi * h) * prod
+    if z < BESSEL_CROSSOVER:
+        pair = (
+            2.0 * math.pi * z
+            * _bessel_i_series_scaled(h, z)
+            * _bessel_i_series_scaled(1.0 - h, z)
+        )
+    else:
+        pair = _asymptotic_sum(h, z) * _asymptotic_sum(1.0 - h, z)
+    return pair / math.sin(math.pi * h) + 2.0 * math.exp(-2.0 * z)
 
 
 def r_h(hurst: float, z: float) -> float:

@@ -111,6 +111,32 @@ def ks_critical_value(n: int, level: float) -> float:
     raise ValueError(f"unsupported level {level}; use 0.01 or 0.05")
 
 
+#: the sharp tail approximation of each functional, by target name
+_TAILS = {"energy": energy.tail_energy, "mle": mle.tail_mle}
+
+
+def _mc_closed_form(
+    params: ModelParams,
+    target: str,
+    c: float,
+    T: float,
+    replicates: int,
+    with_order1: bool,
+):
+    """Check an ``mc_tail`` request without simulating.
+
+    Returns the tail approximation, its value at ``T`` and whether
+    ``replicates`` paths are too few to resolve it.
+    """
+    if target not in _TAILS:
+        raise ValueError(f"unknown target {target!r}")
+    if replicates < 10_000:
+        raise ValueError("mc_tail requires at least 1e4 replicates")
+    approx = _TAILS[target](params, c, T, with_order1=with_order1)
+    closed = approx.value(T)
+    return approx, closed, closed < _MIN_EXPECTED_HITS / replicates
+
+
 def mc_tail(
     params: ModelParams,
     target: str,
@@ -126,21 +152,20 @@ def mc_tail(
 
     ``target`` is ``"energy"`` (event ``{S_T >= cT}``, or ``{S_T <= cT}``
     on the lower branch) or ``"mle"`` (event ``{theta_hat >= c}``, or
-    ``{theta_hat <= c}`` for ``c < theta``). A precomputed ``result`` from
-    the same (seed, grid) may be passed to amortize simulation across
-    several thresholds.
+    ``{theta_hat <= c}`` for ``c < theta``). A precomputed ``result`` of
+    ``replicates`` paths from the same (seed, grid) may be passed to
+    amortize simulation across several thresholds. ``with_order1`` applies
+    to the energy only; it is an error for the estimator.
     """
-    if target not in ("energy", "mle"):
-        raise ValueError(f"unknown target {target!r}")
-    if replicates < 10_000:
-        raise ValueError("mc_tail requires at least 1e4 replicates")
-    if target == "energy":
-        approx = energy.tail_energy(params, c, T, with_order1=with_order1)
-    else:
-        approx = mle.tail_mle(params, c, T)
-    closed = approx.value(T)
+    if result is not None and result.replicates != replicates:
+        raise ValueError(
+            f"result holds {result.replicates} paths, not replicates={replicates}"
+        )
+    approx, closed, underpowered = _mc_closed_form(
+        params, target, c, T, replicates, with_order1
+    )
     label = f"{target} tail c={c} T={T}"
-    if closed < _MIN_EXPECTED_HITS / replicates:
+    if underpowered:
         return MCReport(
             label=label,
             estimate=math.nan,

@@ -85,6 +85,15 @@ class TestTailCommand:
         )
         assert code == cli.EXIT_INVALID
 
+    def test_order1_with_mle_target_is_invalid(self, capsys):
+        code = _run(
+            ["tail", "--theta", "-1", "--hurst", "0.75", "--target", "mle",
+             "--c", "-0.6", "--order1"]
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INVALID
+        assert "order-1 correction" in err
+        assert "Traceback" not in err
 
     def test_hurst_just_above_half(self, capsys):
         # 1 - sin(pi H) cancels to 0 in floating point at H = 1/2 + 1e-10;
@@ -145,15 +154,57 @@ class TestSimulateCommand:
 
 
 class TestMcCommand:
-    def test_underpowered_row(self, capsys):
+    def test_underpowered_row(self, capsys, monkeypatch):
+        # no path is drawn when every level is underpowered
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated an underpowered request")
+
+        monkeypatch.setattr(cli, "simulate_martingale_batch", refuse)
+        monkeypatch.setattr(cli.validate, "simulate_martingale_batch", refuse)
         code = _run(
             ["mc", "--theta", "-1", "--hurst", "0.75", "--target", "energy",
-             "--T", "40", "--c", "6.0", "--replicates", "10000", "--seed", "1"]
+             "--T", "40", "--c", "6.0", "--c", "7.0", "--replicates", "10000",
+             "--seed", "1"]
         )
         assert code == cli.EXIT_OK
-        row = _rows(capsys.readouterr().out)[0]
-        assert row["underpowered"] == "True"
-        assert row["z_score"] == ""
+        rows = _rows(capsys.readouterr().out)
+        assert [r["underpowered"] for r in rows] == ["True", "True"]
+        assert [r["z_score"] for r in rows] == ["", ""]
+
+    def test_order1_with_mle_target_is_invalid(self, capsys):
+        code = _run(
+            ["mc", "--theta", "-1", "--hurst", "0.75", "--target", "mle",
+             "--T", "40", "--c", "-0.6", "--replicates", "10000", "--order1"]
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INVALID
+        assert "order-1 correction" in err
+        assert "Traceback" not in err
+
+    def test_one_batch_serves_every_level(self, capsys, monkeypatch):
+        calls = []
+        batch = cli.simulate_martingale_batch
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_martingale_batch", counted)
+        monkeypatch.setattr(cli.validate, "simulate_martingale_batch", counted)
+        base = ["mc", "--theta", "-1", "--hurst", "0.75", "--target", "energy",
+                "--T", "10", "--grid-n", "200", "--replicates", "10000",
+                "--seed", "4"]
+        levels = ["0.55", "0.6", "0.7"]
+        assert _run(base + [a for c in levels for a in ("--c", c)]) == cli.EXIT_OK
+        together = capsys.readouterr().out
+        assert len(calls) == 1
+        rows = _rows(together)
+        assert [r["underpowered"] for r in rows] == ["False"] * 3
+        apart = []
+        for c in levels:
+            assert _run(base + ["--c", c]) == cli.EXIT_OK
+            apart += _rows(capsys.readouterr().out)
+        assert rows == apart
 
 
 class TestCltCommand:
@@ -213,6 +264,7 @@ class TestExitCodes:
         (["rate", "--target", "mle", "--c", "nan"], "c"),
         (["saddle", "--c", "inf"], "c"),
         (["tail", "--target", "mle", "--c", "inf"], "c"),
+        (["rate", "--target", "energy", "--c=-1", "--T", "0"], "T"),
     ])
     def test_bad_level_or_horizon_is_invalid(self, argv, name, capsys):
         code = _run(argv + ["--theta", "-1", "--hurst", "0.75"])

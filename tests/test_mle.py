@@ -119,6 +119,12 @@ class TestClassify:
             with pytest.raises(ValueError, match="c must be finite"):
                 rate_mle(P, c)
 
+    def test_order1_correction_is_rejected(self):
+        # the flag exists for the energy tail only; it must not be ignored
+        with pytest.raises(ValueError, match="order-1 correction"):
+            tail_mle(P, -0.6, 40.0, with_order1=True)
+        assert tail_mle(P, -0.6, 40.0, with_order1=False) == tail_mle(P, -0.6, 40.0)
+
 
 class TestTails:
     def test_easy_prefactor_structure(self):

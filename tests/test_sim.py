@@ -18,6 +18,7 @@ from fousldp.sim import (
     _advance_batch,
     _fbm_factors,
     _oracle_from_dy,
+    _whiten,
     clt_statistics,
     fbm_increment_cholesky,
     kernel_weight_matrix,
@@ -209,6 +210,25 @@ class TestReproducibility:
             S, num = _advance_batch(P, g, gen, min(chunk, replicates - lo))
             s_parts.append(S)
             th_parts.append(P.theta + num / S)
+        assert np.array_equal(r.s_terminal, np.concatenate(s_parts))
+        assert np.array_equal(r.theta_hat, np.concatenate(th_parts))
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 8])
+    def test_pooled_fbm_batch_equals_serial_chunks(self, cores, monkeypatch):
+        # the physical route shares the driver; for a fixed BLAS thread
+        # count its pooled chunks keep the bits of a serial loop
+        monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
+        g = make_grid(10.0, 512)
+        seed, replicates, chunk = 13, 700, 128
+        r = simulate_fbm_batch(P, g, seed, replicates, chunk=chunk)
+        _, K = _fbm_factors(P, g)
+        s_parts, th_parts = [], []
+        for k, lo in enumerate(range(0, replicates, chunk)):
+            gen = RngSpec(seed=seed, stream_id=k).generator()
+            z = gen.standard_normal((g.n_intervals, min(chunk, replicates - lo)))
+            _, S, num = _oracle_from_dy(P, g, _whiten(K, z))
+            s_parts.append(S)
+            th_parts.append(num / S)
         assert np.array_equal(r.s_terminal, np.concatenate(s_parts))
         assert np.array_equal(r.theta_hat, np.concatenate(th_parts))
 

@@ -140,15 +140,22 @@ class TestRH:
                 assert _asymptotic_sum(nu, float(z)) == _asymptotic_sum(-nu, float(z))
 
     def test_product_branch_matches_four_factor_form(self):
-        for hurst in (0.5000001, 0.55, 0.75, 0.9, 0.99):
-            s = math.sin(math.pi * hurst)
-            for z in np.geomspace(BESSEL_CROSSOVER, 1e6, 50):
-                z = float(z)
-                four = bessel_i_scaled(hurst, z) * bessel_i_scaled(
-                    1.0 - hurst, z
-                ) + bessel_i_scaled(-hurst, z) * bessel_i_scaled(hurst - 1.0, z)
-                ref = math.pi * z / s * four
-                assert abs(r_h_scaled(hurst, z) - ref) <= 1e-15 * ref
+        # below the crossover the two forms round differently (3.6e-15
+        # measured); above it they share the asymptotic sums
+        cases = [
+            (0.01, math.nextafter(BESSEL_CROSSOVER, 0.0), 1e-14),
+            (BESSEL_CROSSOVER, 1e6, 1e-15),
+        ]
+        for lo, hi, bound in cases:
+            for hurst in (0.5000001, 0.55, 0.75, 0.9, 0.99):
+                s = math.sin(math.pi * hurst)
+                for z in np.geomspace(lo, hi, 50):
+                    z = float(z)
+                    four = bessel_i_scaled(hurst, z) * bessel_i_scaled(
+                        1.0 - hurst, z
+                    ) + bessel_i_scaled(-hurst, z) * bessel_i_scaled(hurst - 1.0, z)
+                    ref = math.pi * z / s * four
+                    assert abs(r_h_scaled(hurst, z) - ref) <= bound * ref
 
     @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.9, 0.99])
     def test_continuous_across_crossover(self, hurst):

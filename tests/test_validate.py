@@ -144,6 +144,11 @@ class TestMcTail:
         b = mc_tail(P, "energy", 0.7, 40.0, 20000, seed=103, result=res)
         assert a.estimate == b.estimate
 
+    def test_result_of_another_size_is_rejected(self):
+        res = simulate_martingale_batch(P, make_grid(40.0, 200), seed=1, replicates=10_000)
+        with pytest.raises(ValueError, match="10000 paths"):
+            mc_tail(P, "energy", 0.7, 40.0, 20_000, seed=1, result=res)
+
     def test_replicate_floor(self):
         with pytest.raises(ValueError):
             mc_tail(P, "energy", 0.7, 40.0, 100, seed=1)
