@@ -35,13 +35,10 @@ from .model import (
     GenFnTerms,
     LogArgumentError,
     ModelParams,
-    domain_energy,
-    domain_mle,
     exact_lt,
     gen_fn_terms,
     in_domain_delta,
     modified_terms,
-    r_t,
 )
 from .sim import (
     BatchResult,

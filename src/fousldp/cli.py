@@ -12,11 +12,13 @@ Subcommands cover every analytic and Monte Carlo operation:
 
 All numeric output is CSV with a header row, full-precision scientific
 notation and a locale-independent decimal point, so identical invocations
-produce byte-identical files. A JSON config file may supply any long-form
-option; explicit command-line flags win over config values. A config value
-converts as the option's command-line token would (a list for a repeatable
-option, true or false for a switch); one that does not is an invalid
-parameter.
+produce byte-identical files. The columns of ``mc`` and ``oracle`` are the
+fields of ``validate.MCReport`` and ``validate.OracleReport``, in order.
+``--target`` names an entry of ``validate.FUNCTIONALS``. A JSON config file
+may supply any long-form option; explicit command-line flags win over config
+values. A config value converts as the option's command-line token would (a
+list for a repeatable option, true or false for a switch); one that does not
+is an invalid parameter.
 
 Exit codes: 0 success, 2 invalid parameter values, 3 numerical failure,
 64 usage errors (unknown subcommand or flag, or a flag abbreviated).
@@ -33,12 +35,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import energy, mle, special, validate
+from . import energy, special, validate
 from .model import DomainError, ModelParams, check_level_and_horizon
 from .sim import RngSpec, make_grid, simulate_martingale_batch, simulate_martingale_path
 
@@ -111,17 +113,13 @@ def _c_list(args) -> list[float]:
 
 def _cmd_rate(args) -> int:
     params = _params(args)
+    functional = validate.FUNCTIONALS[args.target]
     rows = []
     for c in _c_list(args):
         # the energy rate takes no horizon, and its branch is read only for c > 0
         check_level_and_horizon(c, args.T)
-        if args.target == "energy":
-            rate = energy.rate_energy(params, c)
-            branch = energy.classify_branch(params, c, args.T).name if c > 0 else "INFINITE"
-        else:
-            rate = mle.rate_mle(params, c)
-            branch = mle.classify_mle(params, c, args.T).name
-        rows.append({"target": args.target, "c": c, "rate": rate, "branch": branch})
+        rows.append({"target": args.target, "c": c, "rate": functional.rate(params, c),
+                     "branch": functional.branch(params, c, args.T)})
     _emit(rows, args.out)
     return EXIT_OK
 
@@ -129,7 +127,7 @@ def _cmd_rate(args) -> int:
 def _cmd_tail(args) -> int:
     params = _params(args)
     rows = []
-    tail = validate._TAILS[args.target]
+    tail = validate.FUNCTIONALS[args.target].tail
     for c in _c_list(args):
         approx = tail(params, c, args.T, with_order1=args.order1)
         rows.append(
@@ -216,32 +214,12 @@ def _cmd_mc(args) -> int:
     if not all(underpowered):
         grid = make_grid(args.T, args.grid_n)
         result = simulate_martingale_batch(params, grid, args.seed, args.replicates)
-    rows = []
-    for c in levels:
-        rep = validate.mc_tail(
-            params,
-            args.target,
-            c,
-            args.T,
-            args.replicates,
-            args.seed,
-            grid_n=args.grid_n,
-            with_order1=args.order1,
-            result=result,
-        )
-        rows.append(
-            {
-                "label": rep.label,
-                "estimate": rep.estimate,
-                "std_error": rep.std_error,
-                "replicates": rep.replicates,
-                "closed_form": rep.closed_form,
-                "z_score": rep.z_score,
-                "underpowered": rep.underpowered,
-                "seed": rep.seed,
-            }
-        )
-    _emit(rows, args.out)
+    reports = [
+        validate.mc_tail(params, args.target, c, args.T, args.replicates, args.seed,
+                         grid_n=args.grid_n, with_order1=args.order1, result=result)
+        for c in levels
+    ]
+    _emit([asdict(r) for r in reports], args.out)
     return EXIT_OK
 
 
@@ -266,54 +244,29 @@ def _cmd_clt(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    params = None
-    rows = []
     if args.kind == "legendre":
         params = _params(args)
-        for c in _c_list(args):
-            r = validate.legendre_oracle(params, args.target, c)
-            rows.append(
-                {
-                    "label": r.label,
-                    "lhs": r.lhs,
-                    "rhs": r.rhs,
-                    "abs_err": r.abs_err,
-                    "rel_err": r.rel_err,
-                    "note": r.note,
-                }
-            )
+        reports = [validate.legendre_oracle(params, args.target, c) for c in _c_list(args)]
     elif args.kind == "gamma-contour":
-        r = validate.gamma_contour_oracle(
+        reports = [validate.gamma_contour_oracle(
             args.shape, args.nu, args.gamma_freq, args.sigma2, args.T, args.ell, args.p
-        )
-        rows.append(
-            {
-                "label": r.label,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "abs_err": r.abs_err,
-                "rel_err": r.rel_err,
-                "note": r.note,
-            }
-        )
+        )]
     else:  # bessel
         import mpmath as mp
 
+        reports = []
         for z in np.geomspace(0.01, 500.0, 40):
             for nu in (0.25, -0.75, 0.6, -0.4):
                 mine = special.bessel_i(nu, float(z))
                 ref = float(mp.besseli(nu, mp.mpf(float(z))))
-                rows.append(
-                    {
-                        "label": f"bessel nu={nu} z={float(z):.6g}",
-                        "lhs": mine,
-                        "rhs": ref,
-                        "abs_err": abs(mine - ref),
-                        "rel_err": abs(mine - ref) / abs(ref),
-                        "note": "",
-                    }
-                )
-    _emit(rows, args.out)
+                reports.append(validate.OracleReport(
+                    label=f"bessel nu={nu} z={float(z):.6g}",
+                    lhs=mine,
+                    rhs=ref,
+                    abs_err=abs(mine - ref),
+                    rel_err=abs(mine - ref) / abs(ref),
+                ))
+    _emit([asdict(r) for r in reports], args.out)
     return EXIT_OK
 
 
@@ -323,11 +276,10 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sub = parser.add_subparsers(dest="command", required=True)
     commands: dict[str, _Parser] = {}
 
-    def common(p, need_T=True):
+    def common(p):
         p.add_argument("--theta", type=float, required=False)
         p.add_argument("--hurst", type=float, required=False)
-        if need_T:
-            p.add_argument("--T", type=float, default=100.0)
+        p.add_argument("--T", type=float, default=100.0)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--config", type=str, default=None)
 
@@ -337,12 +289,12 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         return p
 
     p = command("rate", "rate function table")
-    p.add_argument("--target", choices=("energy", "mle"), required=True)
+    p.add_argument("--target", choices=tuple(validate.FUNCTIONALS), required=True)
     p.add_argument("--c", type=float, action="append")
     p.set_defaults(func=_cmd_rate)
 
     p = command("tail", "sharp tail approximations")
-    p.add_argument("--target", choices=("energy", "mle"), required=True)
+    p.add_argument("--target", choices=tuple(validate.FUNCTIONALS), required=True)
     p.add_argument("--c", type=float, action="append")
     p.add_argument("--order1", action="store_true")
     p.set_defaults(func=_cmd_tail)
@@ -359,7 +311,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.set_defaults(func=_cmd_simulate)
 
     p = command("mc", "Monte Carlo tail comparison")
-    p.add_argument("--target", choices=("energy", "mle"), required=True)
+    p.add_argument("--target", choices=tuple(validate.FUNCTIONALS), required=True)
     p.add_argument("--c", type=float, action="append")
     p.add_argument("--replicates", type=int, default=100_000)
     p.add_argument("--grid-n", dest="grid_n", type=int, default=2000)
@@ -376,7 +328,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = command("oracle", "numerical cross-checks")
     p.add_argument("--kind", choices=("legendre", "gamma-contour", "bessel"),
                    required=True)
-    p.add_argument("--target", choices=("energy", "mle"), default="energy")
+    p.add_argument("--target", choices=tuple(validate.FUNCTIONALS), default="energy")
     p.add_argument("--c", type=float, action="append")
     p.add_argument("--shape", type=float, default=1.0)
     p.add_argument("--nu", type=float, default=0.5)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .model import ModelParams, check_level_and_horizon
 from .special import gamma_real
@@ -24,6 +24,8 @@ from .special import gamma_real
 __all__ = [
     "EnergyBranch",
     "TailApprox",
+    "Functional",
+    "ENERGY",
     "SaddleSolution",
     "c_star",
     "boundary_tolerance",
@@ -77,6 +79,27 @@ class TailApprox:
 
     def value(self, T: float) -> float:
         return math.exp(self.log_value(T))
+
+
+@dataclass(frozen=True)
+class Functional:
+    """One of the two functionals, as the CLI and the validation harness see it.
+
+    ``rate(params, c)`` is the large-deviation rate and ``branch(params, c,
+    T)`` the name of its branch, as the rate table labels it;
+    ``tail(params, c, T, with_order1)`` is the branch-dispatched sharp tail;
+    ``sample(result, T)`` reads the functional's Monte Carlo sample off a
+    batch of paths; ``legendre(params, c)`` returns ``(lo, hi, objective)``,
+    the tilt bracket and the objective whose minimum over it is minus the
+    rate.
+    """
+
+    name: str
+    rate: Callable[[ModelParams, float], float]
+    branch: Callable[[ModelParams, float, float], str]
+    tail: Callable[..., TailApprox]
+    sample: Callable
+    legendre: Callable[[ModelParams, float], tuple]
 
 
 @dataclass(frozen=True)
@@ -188,17 +211,6 @@ def energy_k_deriv(params: ModelParams, a: float, q: int) -> float:
     B = params.theta * params.p_h
     derivs = _logratio_derivs(A, B, energy_phi(params, a))
     return derivs[q - 1]
-
-
-def energy_k(params: ModelParams, a: float) -> float:
-    phi = energy_phi(params, a)
-    arg = 1.0 + (phi + params.theta) * params.p_h / (2.0 * phi)
-    return -0.5 * math.log(arg)
-
-
-def energy_h(params: ModelParams, a: float) -> float:
-    phi = energy_phi(params, a)
-    return -0.5 * math.log((phi - params.theta) / (2.0 * phi))
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +358,26 @@ def tail_energy(
     if branch is EnergyBranch.HARD:
         return tail_hard(params, c, T)
     return tail_easy(params, c, T, with_order1=with_order1)
+
+
+def _energy_legendre(params: ModelParams, c: float):
+    # the tilt domain is (-inf, a_h); a bracket of width max(50, 10 theta^2)
+    # below it holds the maximizer of c a - L(a)
+    hi = params.a_h - 1e-9
+    lo = hi - max(50.0, 10.0 * params.theta**2)
+    return lo, hi, lambda a: -(c * a - energy_l(params, a))
+
+
+#: the energy ``S_T``: event ``{S_T >= cT}``, or ``{S_T <= cT}`` on the
+#: lower branch; its rate is infinite and its branch ``INFINITE`` for c <= 0
+ENERGY = Functional(
+    name="energy",
+    rate=rate_energy,
+    branch=lambda params, c, T: classify_branch(params, c, T).name if c > 0 else "INFINITE",
+    tail=tail_energy,
+    sample=lambda result, T: result.s_terminal / T,
+    legendre=_energy_legendre,
+)
 
 
 # ---------------------------------------------------------------------------

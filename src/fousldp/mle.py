@@ -24,7 +24,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .energy import TailApprox
+from .energy import Functional, TailApprox
 from .model import ModelParams, check_level_and_horizon
 from .special import gamma_real
 
@@ -41,6 +41,7 @@ __all__ = [
     "tail_mle_zero",
     "tail_mle_boundary",
     "tail_mle",
+    "MLE",
 ]
 
 
@@ -255,3 +256,25 @@ def tail_mle(
     if branch is MleBranch.ZERO:
         return tail_mle_zero(params, T)
     return tail_mle_hard(params, c, T)
+
+
+def _mle_legendre(params: ModelParams, c: float):
+    # -L(a) over the effective tilt domain of Z_T(c), kept a relative 1e-9
+    # inside both endpoints
+    eps = 1e-9
+    dom = mle_domain(params, c)
+    lo = dom.a_1 + eps * max(1.0, abs(dom.a_1))
+    hi = dom.a_right - eps * max(1.0, abs(dom.a_right))
+    return lo, hi, lambda a: mle_l(params, a, c)
+
+
+#: the estimator ``theta_hat_T``: event ``{theta_hat >= c}``, or
+#: ``{theta_hat <= c}`` for ``c < theta``
+MLE = Functional(
+    name="mle",
+    rate=rate_mle,
+    branch=lambda params, c, T: classify_mle(params, c, T).name,
+    tail=tail_mle,
+    sample=lambda result, T: result.theta_hat,
+    legendre=_mle_legendre,
+)

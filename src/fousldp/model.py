@@ -32,12 +32,9 @@ __all__ = [
     "DomainError",
     "LogArgumentError",
     "in_domain_delta",
-    "domain_energy",
-    "domain_mle",
     "gen_fn_terms",
     "exact_lt",
     "modified_terms",
-    "r_t",
 ]
 
 #: points closer than this to the boundary of the effective domain are
@@ -176,57 +173,40 @@ class GenFnTerms:
         return self.L + (self.Hterm + self.K_T + self.R_T) / T
 
 
+def _domain_margin(params: ModelParams, a: float, b: float) -> tuple[float, float]:
+    """``(phi, margin)`` of the tilt ``(a, b)`` in the effective domain.
+
+    ``phi = sqrt(theta^2 - 2b)`` and ``margin = phi - max(a + theta,
+    -delta_h (a + theta))``, positive inside the domain; ``(nan, -inf)``
+    when ``theta^2 - 2b`` is not positive.
+    """
+    disc = params.theta**2 - 2.0 * b
+    if not disc > 0:
+        return math.nan, -math.inf
+    phi = math.sqrt(disc)
+    s = a + params.theta
+    return phi, phi - max(s, -params.delta_h * s)
+
+
 def in_domain_delta(params: ModelParams, a: float, b: float) -> bool:
     """Membership in the effective domain of the limiting term.
 
     True iff ``theta^2 - 2b > 0`` and
-    ``sqrt(theta^2 - 2b) > max(a + theta, -delta_h (a + theta))``.
+    ``sqrt(theta^2 - 2b) > max(a + theta, -delta_h (a + theta))``. The
+    energy tilts ``(0, b)`` and the estimator tilts ``(a, -c a)`` are
+    points of this domain.
     """
-    disc = params.theta**2 - 2.0 * b
-    if not disc > 0:
-        return False
-    phi = math.sqrt(disc)
-    s = a + params.theta
-    return phi > max(s, -params.delta_h * s)
-
-
-def domain_energy(params: ModelParams, a: float) -> bool:
-    """Energy-section domain: the tilt (0, a), i.e. simply ``a < a_h``."""
-    return in_domain_delta(params, 0.0, a)
-
-
-def domain_mle(params: ModelParams, a: float, c: float) -> bool:
-    """MLE-section domain for threshold ``c``: the tilt (a, -c a)."""
-    return in_domain_delta(params, a, -c * a)
+    return _domain_margin(params, a, b)[1] > 0
 
 
 def _interior_or_raise(params: ModelParams, a: float, b: float) -> float:
-    disc = params.theta**2 - 2.0 * b
-    if not disc > 0:
-        raise DomainError(f"(a={a}, b={b}) outside effective domain: theta^2-2b<=0")
-    phi = math.sqrt(disc)
-    s = a + params.theta
-    margin = phi - max(s, -params.delta_h * s)
+    phi, margin = _domain_margin(params, a, b)
     if margin <= BOUNDARY_MARGIN:
         raise DomainError(
             f"(a={a}, b={b}) not strictly interior to the effective domain "
             f"(margin {margin:.3e})"
         )
     return phi
-
-
-def r_t(params: ModelParams, b: float, T: float) -> float:
-    """The Bessel remainder ``r_H(phi T/2) exp(-T phi) - 1``, overflow-free.
-
-    Equals ``r_h_scaled(H, phi T / 2) - 1`` identically, since the scaled
-    Bessel products absorb the exponential growth. Converges to ``p_h`` as
-    ``T`` grows, at rate ``2 r_1^H / (sin(pi H) phi T)``.
-    """
-    disc = params.theta**2 - 2.0 * b
-    if not disc > 0:
-        raise DomainError(f"b={b} outside effective domain: theta^2-2b<=0")
-    phi = math.sqrt(disc)
-    return r_h_scaled(params.hurst, phi * T / 2.0) - 1.0
 
 
 def _checked_log(x: float, what: str) -> float:

@@ -159,7 +159,7 @@ class BatchResult:
 
     s_terminal: np.ndarray
     theta_hat: np.ndarray
-    grid: TimeGrid = field(repr=False, default=None)
+    grid: TimeGrid = field(repr=False)
 
     @property
     def replicates(self) -> int:

@@ -1,6 +1,6 @@
 r"""Validation harness: Monte Carlo comparisons and numerical oracles.
 
-Three independent families of checks tie the closed-form machinery to
+Four independent families of checks tie the closed-form machinery to
 ground truth obtained by entirely different means:
 
 * ``mc_tail`` estimates a tail probability by simulation and compares it
@@ -29,7 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import energy, mle
+from .energy import ENERGY, Functional
+from .mle import MLE
 from .model import ModelParams
 from .sim import (
     BatchResult,
@@ -39,6 +40,7 @@ from .sim import (
 )
 
 __all__ = [
+    "FUNCTIONALS",
     "MCReport",
     "OracleReport",
     "KSReport",
@@ -55,6 +57,16 @@ __all__ = [
 #: probability is below this many expected successes
 _MIN_EXPECTED_HITS = 10.0
 
+#: the two functionals by target name; the CLI's ``--target`` choices
+FUNCTIONALS = {f.name: f for f in (ENERGY, MLE)}
+
+
+def _functional(target: str) -> Functional:
+    try:
+        return FUNCTIONALS[target]
+    except KeyError:
+        raise ValueError(f"unknown target {target!r}") from None
+
 
 @dataclass(frozen=True)
 class MCReport:
@@ -68,11 +80,6 @@ class MCReport:
     z_score: Optional[float]
     underpowered: bool
     seed: int
-
-    def within_band(self, band: float = 3.0) -> bool:
-        if self.underpowered or self.z_score is None:
-            return False
-        return abs(self.z_score) <= band
 
 
 @dataclass(frozen=True)
@@ -111,8 +118,9 @@ def ks_critical_value(n: int, level: float) -> float:
     raise ValueError(f"unsupported level {level}; use 0.01 or 0.05")
 
 
-#: the sharp tail approximation of each functional, by target name
-_TAILS = {"energy": energy.tail_energy, "mle": mle.tail_mle}
+def _check_horizon(result: BatchResult, T: float) -> None:
+    if result.grid.T != T:
+        raise ValueError(f"result was drawn at horizon T={result.grid.T}, not T={T}")
 
 
 def _mc_closed_form(
@@ -128,11 +136,10 @@ def _mc_closed_form(
     Returns the tail approximation, its value at ``T`` and whether
     ``replicates`` paths are too few to resolve it.
     """
-    if target not in _TAILS:
-        raise ValueError(f"unknown target {target!r}")
+    functional = _functional(target)
     if replicates < 10_000:
         raise ValueError("mc_tail requires at least 1e4 replicates")
-    approx = _TAILS[target](params, c, T, with_order1=with_order1)
+    approx = functional.tail(params, c, T, with_order1=with_order1)
     closed = approx.value(T)
     return approx, closed, closed < _MIN_EXPECTED_HITS / replicates
 
@@ -154,13 +161,16 @@ def mc_tail(
     on the lower branch) or ``"mle"`` (event ``{theta_hat >= c}``, or
     ``{theta_hat <= c}`` for ``c < theta``). A precomputed ``result`` of
     ``replicates`` paths from the same (seed, grid) may be passed to
-    amortize simulation across several thresholds. ``with_order1`` applies
-    to the energy only; it is an error for the estimator.
+    amortize simulation across several thresholds; one of another size or
+    drawn at another horizon is an error. ``with_order1`` applies to the
+    energy only; it is an error for the estimator.
     """
-    if result is not None and result.replicates != replicates:
-        raise ValueError(
-            f"result holds {result.replicates} paths, not replicates={replicates}"
-        )
+    if result is not None:
+        if result.replicates != replicates:
+            raise ValueError(
+                f"result holds {result.replicates} paths, not replicates={replicates}"
+            )
+        _check_horizon(result, T)
     approx, closed, underpowered = _mc_closed_form(
         params, target, c, T, replicates, with_order1
     )
@@ -179,7 +189,7 @@ def mc_tail(
     if result is None:
         grid = make_grid(T, grid_n)
         result = simulate_martingale_batch(params, grid, seed, replicates)
-    sample = result.s_terminal / T if target == "energy" else result.theta_hat
+    sample = _functional(target).sample(result, T)
     hits = np.sum(sample <= c) if approx.lower_tail else np.sum(sample >= c)
     est = float(hits) / replicates
     se = math.sqrt(max(est * (1.0 - est), 1e-300) / replicates)
@@ -211,20 +221,9 @@ def legendre_oracle(params: ModelParams, target: str, c: float) -> OracleReport:
     """
     from scipy.optimize import minimize_scalar
 
-    eps = 1e-9
-    if target == "energy":
-        hi = params.a_h - eps
-        lo = hi - max(50.0, 10.0 * params.theta**2)
-        obj = lambda a: -(c * a - energy.energy_l(params, a))
-        closed = energy.rate_energy(params, c)
-    elif target == "mle":
-        dom = mle.mle_domain(params, c)
-        lo = dom.a_1 + eps * max(1.0, abs(dom.a_1))
-        hi = dom.a_right - eps * max(1.0, abs(dom.a_right))
-        obj = lambda a: mle.mle_l(params, a, c)
-        closed = mle.rate_mle(params, c)
-    else:
-        raise ValueError(f"unknown target {target!r}")
+    functional = _functional(target)
+    lo, hi, obj = functional.legendre(params, c)
+    closed = functional.rate(params, c)
     grid = np.linspace(lo, hi, 4001)
     vals = np.array([obj(a) for a in grid])
     j = int(np.argmin(vals))
@@ -368,12 +367,17 @@ def clt_test(
     grid_n: int = 2000,
     result: BatchResult | None = None,
 ) -> tuple[KSReport, KSReport]:
-    """KS tests of the standardized energy and estimator samples vs N(0,1)."""
+    """KS tests of the standardized energy and estimator samples vs N(0,1).
+
+    A precomputed ``result`` must have been drawn at the horizon ``T``.
+    """
     from scipy.stats import kstest
 
     if replicates < 1000:
         raise ValueError("clt_test requires at least 1e3 replicates")
-    if result is None:
+    if result is not None:
+        _check_horizon(result, T)
+    else:
         grid = make_grid(T, grid_n)
         result = simulate_martingale_batch(params, grid, seed, replicates)
     e_sample, m_sample = clt_statistics(result, params, T)

@@ -1,5 +1,6 @@
 """Tests of the command-line interface: schemas, exit codes, config."""
 
+import dataclasses
 import json
 import math
 import os
@@ -10,14 +11,22 @@ import pytest
 
 import fousldp
 from fousldp import cli
-from fousldp.energy import rate_energy, tail_energy
+from fousldp.energy import c_star, rate_energy, tail_energy
 from fousldp.model import ModelParams
 
 P = ModelParams(theta=-1.0, hurst=0.75)
 
+#: the mc and oracle headers are the MCReport and OracleReport fields, in order
+MC_HEADER = "label,estimate,std_error,replicates,closed_form,z_score,underpowered,seed"
+ORACLE_HEADER = "label,lhs,rhs,abs_err,rel_err,note"
+
 
 def _run(argv):
     return cli.run(argv)
+
+
+def _header(text):
+    return text.splitlines()[0]
 
 
 def _rows(text):
@@ -43,6 +52,20 @@ class TestRateCommand:
     def test_missing_c_is_usage_error(self, capsys):
         code = _run(["rate", "--theta", "-1", "--hurst", "0.75", "--target", "energy"])
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("target, levels", [
+        ("energy", {-0.5: "INFINITE", 0.0: "INFINITE", 0.3: "GAUSSIAN", 0.7: "EASY",
+                    c_star(P): "BOUNDARY", 3.0: "HARD"}),
+        ("mle", {-0.5: "EASY", P.theta / 3.0: "BOUNDARY", -0.1: "HARD", 0.0: "ZERO",
+                 0.5: "HARD"}),
+    ], ids=["energy", "mle"])
+    def test_every_branch_is_labelled(self, target, levels, capsys):
+        argv = ["rate", "--theta", "-1", "--hurst", "0.75", "--target", target]
+        for c in levels:
+            argv += ["--c", repr(c)]
+        assert _run(argv) == cli.EXIT_OK
+        rows = _rows(capsys.readouterr().out)
+        assert [r["branch"] for r in rows] == list(levels.values())
 
     def test_mle_target(self, capsys):
         code = _run(
@@ -167,7 +190,9 @@ class TestMcCommand:
              "--seed", "1"]
         )
         assert code == cli.EXIT_OK
-        rows = _rows(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert _header(out) == MC_HEADER
+        rows = _rows(out)
         assert [r["underpowered"] for r in rows] == ["True", "True"]
         assert [r["z_score"] for r in rows] == ["", ""]
 
@@ -214,9 +239,11 @@ class TestCltCommand:
              "--grid-n", "400", "--replicates", "1000", "--seed", "2"]
         )
         assert code == cli.EXIT_OK
-        rows = _rows(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert _header(out) == "label,ks_statistic,n,crit_1pct,crit_5pct,below_1pct"
+        rows = _rows(out)
         assert len(rows) == 2
-        assert {"ks_statistic", "crit_1pct", "below_1pct"} <= set(rows[0])
+        assert [r["label"] for r in rows] == ["energy clt T=10.0", "mle clt T=10.0"]
 
 
 class TestOracleCommand:
@@ -226,7 +253,9 @@ class TestOracleCommand:
              "--target", "energy", "--c", "0.7"]
         )
         assert code == cli.EXIT_OK
-        row = _rows(capsys.readouterr().out)[0]
+        out = capsys.readouterr().out
+        assert _header(out) == ORACLE_HEADER
+        row = _rows(out)[0]
         assert float(row["abs_err"]) < 1e-6
 
     def test_gamma_contour_needs_no_model(self, capsys):
@@ -235,8 +264,21 @@ class TestOracleCommand:
              "--gamma-freq", "1.0", "--sigma2", "1.0", "--T", "1000", "--p", "2"]
         )
         assert code == cli.EXIT_OK
-        row = _rows(capsys.readouterr().out)[0]
+        out = capsys.readouterr().out
+        assert _header(out) == ORACLE_HEADER
+        row = _rows(out)[0]
         assert float(row["rel_err"]) < 1e-3
+
+    def test_bessel_against_mpmath(self, capsys):
+        # 40 arguments in [0.01, 500] times 4 orders, each to the accuracy
+        # that bessel_i documents
+        code = _run(["oracle", "--kind", "bessel"])
+        assert code == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert _header(out) == ORACLE_HEADER
+        rows = _rows(out)
+        assert len(rows) == 160
+        assert max(float(r["rel_err"]) for r in rows) < 1e-12
 
 
 class TestExitCodes:
@@ -277,7 +319,9 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise ArithmeticError("forced")
 
-        monkeypatch.setattr(cli.energy, "rate_energy", boom)
+        energy = cli.validate.FUNCTIONALS["energy"]
+        monkeypatch.setitem(cli.validate.FUNCTIONALS, "energy",
+                            dataclasses.replace(energy, rate=boom))
         code = _run(
             ["rate", "--theta", "-1", "--hurst", "0.75", "--target", "energy",
              "--c", "1.0"]

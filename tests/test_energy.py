@@ -16,9 +16,7 @@ from fousldp.energy import (
     EnergyBranch,
     c_star,
     classify_branch,
-    energy_h,
     energy_h_deriv,
-    energy_k,
     energy_k_deriv,
     energy_l,
     energy_l_deriv,
@@ -30,7 +28,7 @@ from fousldp.energy import (
     tail_energy,
     tail_hard,
 )
-from fousldp.model import GenFnPoint, ModelParams, exact_lt
+from fousldp.model import GenFnPoint, ModelParams, exact_lt, gen_fn_terms, modified_terms
 
 P = ModelParams(theta=-1.0, hurst=0.75)
 
@@ -126,12 +124,14 @@ class TestDerivatives:
         # the third difference has larger truncation error where the fifth
         # derivative is big (near the domain boundary)
         tol = 1e-6 if q < 3 else 2e-3
+        # H and K of the energy section are the exact split's Hterm at the
+        # tilt (0, a) and the K of the modified split; neither depends on T
         for fn, dn in (
-            (energy_l, energy_l_deriv),
-            (energy_h, energy_h_deriv),
-            (energy_k, energy_k_deriv),
+            (lambda x: energy_l(P, x), energy_l_deriv),
+            (lambda x: gen_fn_terms(P, GenFnPoint(0.0, x, 10.0)).Hterm, energy_h_deriv),
+            (lambda x: modified_terms(P, x, 10.0)[0], energy_k_deriv),
         ):
-            num = central_diff(lambda x: fn(P, x), a, q, h)
+            num = central_diff(fn, a, q, h)
             ana = dn(P, a, q)
             assert ana == pytest.approx(num, rel=tol, abs=tol)
 

@@ -11,13 +11,10 @@ from fousldp.model import (
     DomainError,
     GenFnPoint,
     ModelParams,
-    domain_energy,
-    domain_mle,
     exact_lt,
     gen_fn_terms,
     in_domain_delta,
     modified_terms,
-    r_t,
 )
 
 mp.mp.dps = 40
@@ -77,10 +74,11 @@ class TestModelParams:
 
 class TestDomain:
     def test_energy_domain_boundary(self):
-        assert domain_energy(P, P.a_h - 1e-9)
-        assert not domain_energy(P, P.a_h)
-        assert not domain_energy(P, P.a_h + 0.1)
-        assert domain_energy(P, -100.0)
+        # the energy section is the tilt (0, a): the domain is a < a_h
+        assert in_domain_delta(P, 0.0, P.a_h - 1e-9)
+        assert not in_domain_delta(P, 0.0, P.a_h)
+        assert not in_domain_delta(P, 0.0, P.a_h + 0.1)
+        assert in_domain_delta(P, 0.0, -100.0)
 
     def test_two_sided_constraint(self):
         # phi must exceed both (a + theta) and -delta (a + theta)
@@ -88,11 +86,6 @@ class TestDomain:
         assert not in_domain_delta(P, 3.0, 0.4)
         # b too large kills the square root
         assert not in_domain_delta(P, 0.0, 0.6)
-
-    def test_mle_domain_tilt(self):
-        # the MLE tilt (a, -c a) at c = 0 reduces to the line b = 0
-        for a in (-3.0, 0.0, 0.5):
-            assert domain_mle(P, a, 0.0) == in_domain_delta(P, a, 0.0)
 
     def test_interior_enforcement(self):
         with pytest.raises(DomainError):
@@ -145,11 +138,13 @@ class TestExactSplit:
         b, T = 0.2, 40.0
         phi = math.sqrt(1.0 - 2.0 * b)
         naive = r_h(P.hurst, phi * T / 2.0) * math.exp(-T * phi) - 1.0
-        assert r_t(P, b, T) == pytest.approx(naive, rel=1e-12)
+        r_t = gen_fn_terms(P, GenFnPoint(0.0, b, T)).r_T
+        assert r_t == pytest.approx(naive, rel=1e-12)
 
     def test_r_t_limit_is_p_h(self):
         for T in (1e3, 1e4):
-            assert r_t(P, 0.2, T) == pytest.approx(P.p_h, abs=10.0 / T)
+            r_t = gen_fn_terms(P, GenFnPoint(0.0, 0.2, T)).r_T
+            assert r_t == pytest.approx(P.p_h, abs=10.0 / T)
 
     def test_remainder_exponentially_small(self):
         terms_small = gen_fn_terms(P, GenFnPoint(0.1, 0.1, 3.0))

@@ -149,6 +149,12 @@ class TestMcTail:
         with pytest.raises(ValueError, match="10000 paths"):
             mc_tail(P, "energy", 0.7, 40.0, 20_000, seed=1, result=res)
 
+    def test_result_of_another_horizon_is_rejected(self):
+        # a batch drawn at T = 10 read as one at T = 40 would count S_10/40
+        res = simulate_martingale_batch(P, make_grid(10.0, 200), seed=2, replicates=10_000)
+        with pytest.raises(ValueError, match="T=10.0, not T=40.0"):
+            mc_tail(P, "energy", 0.6, 40.0, 10_000, seed=1, grid_n=4000, result=res)
+
     def test_replicate_floor(self):
         with pytest.raises(ValueError):
             mc_tail(P, "energy", 0.7, 40.0, 100, seed=1)
@@ -174,6 +180,11 @@ class TestCltTest:
         assert 0.0 < m.statistic < 0.1
         exact = kstest(res.s_terminal, lambda s: energy_cdf(P, s, 100.0)).statistic
         assert exact < e.crit_1pct
+
+    def test_result_of_another_horizon_is_rejected(self):
+        res = simulate_martingale_batch(P, make_grid(10.0, 200), seed=2, replicates=1000)
+        with pytest.raises(ValueError, match="T=10.0, not T=40.0"):
+            clt_test(P, 40.0, 1000, seed=1, result=res)
 
     def test_critical_values(self):
         assert ks_critical_value(100, 0.05) == pytest.approx(0.1358, rel=1e-12)
