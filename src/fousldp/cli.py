@@ -21,13 +21,14 @@ list for a repeatable option, true or false for a switch); one that does not
 is an invalid parameter.
 
 Exit codes: 0 success, 2 invalid parameter values, 3 numerical failure,
-64 usage errors (unknown subcommand or flag, or a flag abbreviated).
+64 usage errors (unknown subcommand or flag, a flag abbreviated, or
+``oracle --kind bessel`` without mpmath, which the ``test`` extra installs).
 
 scipy is slow to import, so each command loads only the scipy module it
-calls: ``rate``, ``tail``, ``simulate`` and ``mc`` load none,
-``oracle --kind legendre`` and ``saddle`` load ``scipy.optimize``,
-``oracle --kind gamma-contour`` loads ``scipy.integrate`` (which imports
-``scipy.optimize`` itself) and ``clt`` loads ``scipy.stats``.
+calls: ``rate``, ``tail``, ``saddle``, ``simulate``, ``mc`` and
+``oracle --kind legendre`` load none, ``oracle --kind gamma-contour`` loads
+``scipy.integrate`` (which imports ``scipy.optimize`` itself) and ``clt``
+loads ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -252,7 +253,11 @@ def _cmd_oracle(args) -> int:
             args.shape, args.nu, args.gamma_freq, args.sigma2, args.T, args.ell, args.p
         )]
     else:  # bessel
-        import mpmath as mp
+        try:
+            import mpmath as mp
+        except ImportError:
+            raise _UsageError("oracle --kind bessel needs mpmath; install the "
+                              "test extra: pip install 'fousldp[test]'") from None
 
         reports = []
         for z in np.geomspace(0.01, 500.0, 40):

@@ -392,6 +392,61 @@ def _lambda_t_deriv(params: ModelParams, a: float, T: float) -> float:
     )
 
 
+def _brentq(f, lo: float, hi: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of ``f`` in ``[lo, hi]`` by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line transcription of the C loop behind
+    ``scipy.optimize.brentq``, so it returns the same float for the same
+    arguments without the half second that importing ``scipy.optimize``
+    costs. A bracket without a sign change, or no convergence within
+    ``maxiter`` steps, raises ``ArithmeticError``.
+    """
+    xpre, xcur = lo, hi
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ArithmeticError(f"no sign change of f on [{lo!r}, {hi!r}]")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 delta
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise ArithmeticError(f"Brent's method did not converge in {maxiter} steps")
+
+
 def saddle_solve(params: ModelParams, c: float, T: float) -> SaddleSolution:
     """Solve the time-varying saddle equation for ``c >= c_star``.
 
@@ -419,14 +474,11 @@ def saddle_solve(params: ModelParams, c: float, T: float) -> SaddleSolution:
         lo = a_h - width
     else:
         raise ArithmeticError("bracket failure: saddle equation has no root below a_h")
-    # scipy.optimize is slow to import, and only this solver needs it
-    from scipy.optimize import brentq
-
-    a_T = brentq(f, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200)
+    a_T = _brentq(f, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200)
     resid = f(a_T)
-    # brentq stops a few ulps from the root; where f is steep (hard levels
-    # at large T, about 1e-9 per ulp at T = 1e6) step to the float with the
-    # smallest residual; f increases in a
+    # Brent's method stops a few ulps from the root; where f is steep (hard
+    # levels at large T, about 1e-9 per ulp at T = 1e6) step to the float
+    # with the smallest residual; f increases in a
     toward = math.inf if resid < 0 else -math.inf
     for _ in range(4):
         nxt = math.nextafter(a_T, toward)

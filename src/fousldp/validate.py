@@ -16,14 +16,15 @@ ground truth obtained by entirely different means:
   limit statistics against the standard normal law.
 
 scipy is slow to import, so each function loads only what it calls:
-``legendre_oracle`` loads ``scipy.optimize``, ``gamma_contour_oracle``
-``scipy.integrate`` and ``clt_test`` ``scipy.stats``; ``mc_tail`` and
-``ks_critical_value`` load no scipy module.
+``gamma_contour_oracle`` loads ``scipy.integrate`` and ``clt_test``
+``scipy.stats``; ``mc_tail``, ``legendre_oracle`` (a golden-section
+search) and ``ks_critical_value`` load no scipy module.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -118,7 +119,12 @@ def ks_critical_value(n: int, level: float) -> float:
     raise ValueError(f"unsupported level {level}; use 0.01 or 0.05")
 
 
-def _check_horizon(result: BatchResult, T: float) -> None:
+def _check_batch(result: BatchResult, replicates: int, T: float) -> None:
+    # a batch of another size or horizon would be read as the one asked for
+    if result.replicates != replicates:
+        raise ValueError(
+            f"result holds {result.replicates} paths, not replicates={replicates}"
+        )
     if result.grid.T != T:
         raise ValueError(f"result was drawn at horizon T={result.grid.T}, not T={T}")
 
@@ -166,11 +172,7 @@ def mc_tail(
     energy only; it is an error for the estimator.
     """
     if result is not None:
-        if result.replicates != replicates:
-            raise ValueError(
-                f"result holds {result.replicates} paths, not replicates={replicates}"
-            )
-        _check_horizon(result, T)
+        _check_batch(result, replicates, T)
     approx, closed, underpowered = _mc_closed_form(
         params, target, c, T, replicates, with_order1
     )
@@ -211,28 +213,53 @@ def mc_tail(
 # ---------------------------------------------------------------------------
 
 
+#: the golden-section search stops when its bracket is this narrow
+_LEGENDRE_XATOL = 1e-12
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_min(f, lo: float, hi: float, xatol: float) -> tuple[float, float]:
+    """Minimum ``(x, f(x))`` of a unimodal ``f`` on ``(lo, hi)``.
+
+    Golden-section search: each step keeps the part of the bracket that
+    holds the smaller of two interior values, until the bracket is at most
+    ``xatol`` wide. For a function decreasing on the whole bracket the
+    result is then within ``xatol`` of ``hi``.
+    """
+    a, b = lo, hi
+    x1, x2 = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > xatol:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INV_PHI * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INV_PHI * (b - a)
+            f2 = f(x2)
+    return (x1, f1) if f1 <= f2 else (x2, f2)
+
+
 def legendre_oracle(params: ModelParams, target: str, c: float) -> OracleReport:
     """Recompute a rate function value by direct numerical optimization.
 
     Energy: maximizes ``c a - L(a)`` over the tilt domain ``(-inf, a_h)``.
     MLE: maximizes ``-L(a)`` over the tilt domain of the auxiliary
-    statistic. Grid scan followed by bounded refinement; the boundary
-    maximizer beyond the steepness threshold is reported in the note.
+    statistic. Both objectives are concave, so one golden-section search
+    over the functional's bracket finds the maximizer; one within twice the
+    search tolerance of the bracket's upper end, as beyond the steepness
+    threshold, is reported in the note as a boundary maximizer.
     """
-    from scipy.optimize import minimize_scalar
-
     functional = _functional(target)
     lo, hi, obj = functional.legendre(params, c)
     closed = functional.rate(params, c)
-    grid = np.linspace(lo, hi, 4001)
-    vals = np.array([obj(a) for a in grid])
-    j = int(np.argmin(vals))
-    blo = grid[max(j - 1, 0)]
-    bhi = grid[min(j + 1, grid.size - 1)]
-    res = minimize_scalar(obj, bounds=(blo, bhi), method="bounded",
-                          options={"xatol": 1e-12})
-    best = max(-res.fun, float(-vals[j]))
-    at_boundary = j >= grid.size - 2
+    # the bracket cannot narrow below a few ulps of its end points
+    tol = _LEGENDRE_XATOL + 4.0 * math.ulp(max(abs(lo), abs(hi)))
+    x, fx = _golden_min(obj, lo, hi, tol)
+    best = -fx
+    at_boundary = hi - x <= 2.0 * tol
     note = "maximizer at domain boundary" if at_boundary else "interior maximizer"
     return OracleReport(
         label=f"legendre {target} c={c}",
@@ -305,7 +332,8 @@ def gamma_contour_oracle(
     The integrand decays like a Gaussian with variance ``T/sigma2``, so
     the integration range is truncated where that factor drops below
     1e-16 and adaptive quadrature is applied to the real and imaginary
-    parts separately.
+    parts separately. The note gives the largest error estimate of the
+    four quadratures, and says so if any of them warned.
     """
     from scipy.integrate import quad
 
@@ -325,10 +353,13 @@ def gamma_contour_oracle(
     opts = dict(limit=4000, epsabs=1e-14, epsrel=1e-13)
     g_re = lambda u: envelope(u).real
     g_im = lambda u: envelope(u).imag
-    rc, e1 = quad(g_re, -U, U, weight="cos", wvar=gamma, **opts)
-    rs, e2 = quad(g_im, -U, U, weight="sin", wvar=gamma, **opts)
-    ic, e3 = quad(g_im, -U, U, weight="cos", wvar=gamma, **opts)
-    is_, e4 = quad(g_re, -U, U, weight="sin", wvar=gamma, **opts)
+    # a warning of quad goes in the note, not to stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, e1 = quad(g_re, -U, U, weight="cos", wvar=gamma, **opts)
+        rs, e2 = quad(g_im, -U, U, weight="sin", wvar=gamma, **opts)
+        ic, e3 = quad(g_im, -U, U, weight="cos", wvar=gamma, **opts)
+        is_, e4 = quad(g_re, -U, U, weight="sin", wvar=gamma, **opts)
     re = rc + rs
     im = ic - is_
     if max(e1, e2, e3, e4) > 1e-8:
@@ -350,7 +381,8 @@ def gamma_contour_oracle(
         rhs=rhs_main,
         abs_err=abs(lhs_main - rhs_main),
         rel_err=abs(lhs_main - rhs_main) / abs(rhs_main) if abs(rhs_main) > 1e-300 else None,
-        note=f"off-symmetry residual {resid:.2e}",
+        note=f"off-symmetry residual {resid:.2e}; quadrature error "
+             f"{max(e1, e2, e3, e4):.1e}" + ("; quad warned" if caught else ""),
     )
 
 
@@ -369,15 +401,16 @@ def clt_test(
 ) -> tuple[KSReport, KSReport]:
     """KS tests of the standardized energy and estimator samples vs N(0,1).
 
-    A precomputed ``result`` must have been drawn at the horizon ``T``.
+    A precomputed ``result`` must hold ``replicates`` paths drawn at the
+    horizon ``T``.
     """
     from scipy.stats import kstest
 
+    if result is not None:
+        _check_batch(result, replicates, T)
     if replicates < 1000:
         raise ValueError("clt_test requires at least 1e3 replicates")
-    if result is not None:
-        _check_horizon(result, T)
-    else:
+    if result is None:
         grid = make_grid(T, grid_n)
         result = simulate_martingale_batch(params, grid, seed, replicates)
     e_sample, m_sample = clt_statistics(result, params, T)

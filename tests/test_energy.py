@@ -12,6 +12,7 @@ from exact_law import (
     log_mgf_on_line,
     mle_tail,
 )
+from fousldp import energy
 from fousldp.energy import (
     EnergyBranch,
     c_star,
@@ -341,6 +342,40 @@ class TestSaddle:
     def test_rejects_interior_levels(self):
         with pytest.raises(ValueError):
             saddle_solve(P, 0.7, 100.0)
+
+    def test_brentq_returns_the_float_scipy_returns(self, monkeypatch):
+        # on the brackets saddle_solve builds, the transcription of Brent's
+        # method and scipy.optimize.brentq agree to the last bit
+        from scipy.optimize import brentq
+
+        pairs = []
+        mine = energy._brentq
+
+        def both(f, lo, hi, xtol, rtol, maxiter):
+            x = mine(f, lo, hi, xtol, rtol, maxiter)
+            pairs.append((x, brentq(f, lo, hi, xtol=xtol, rtol=rtol, maxiter=maxiter)))
+            return x
+
+        monkeypatch.setattr(energy, "_brentq", both)
+        for theta in (-0.5, -1.0, -2.0, -5.0):
+            for hurst in (0.55, 0.6, 0.75, 0.9):
+                p = ModelParams(theta, hurst)
+                for ratio in (1.0, 1.0001, 1.1, 2.0, 5.0):
+                    for T in (10.0, 100.0, 1e3, 1e4):
+                        try:
+                            saddle_solve(p, ratio * c_star(p), T)
+                        except ArithmeticError:
+                            # the residual check after the root refuses
+                            # some deep hard levels; the root was compared
+                            pass
+        assert len(pairs) == 320
+        assert [x for x, ref in pairs if x != ref] == []
+
+    def test_brentq_failures_are_arithmetic_errors(self):
+        with pytest.raises(ArithmeticError, match="no sign change"):
+            energy._brentq(lambda a: a * a + 1.0, -1.0, 1.0, 1e-16, 8.9e-16, 200)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            energy._brentq(math.cos, 0.0, 3.0, 1e-16, 8.9e-16, 2)
 
     def test_small_delta_bracket(self):
         # small Hurst index shrinks delta_h; the bracket must still capture

@@ -46,8 +46,11 @@ class TestLegendreOracle:
         # non-steepness: for c > c_star the maximizer sits at the boundary
         r = legendre_oracle(P, "energy", c_star(P) + 2.0)
         assert "boundary" in r.note
-        r_in = legendre_oracle(P, "energy", 0.7)
-        assert "interior" in r_in.note
+        # below c_star = 2.91 it is interior, however close to the boundary:
+        # 0.024 below it at c = 1.8 and 0.0053 below it at c = 2.5
+        for c in (0.7, 1.8, 2.5):
+            r_in = legendre_oracle(P, "energy", c)
+            assert "interior" in r_in.note, c
 
     def test_unknown_target(self):
         with pytest.raises(ValueError):
@@ -185,6 +188,12 @@ class TestCltTest:
         res = simulate_martingale_batch(P, make_grid(10.0, 200), seed=2, replicates=1000)
         with pytest.raises(ValueError, match="T=10.0, not T=40.0"):
             clt_test(P, 40.0, 1000, seed=1, result=res)
+
+    def test_result_of_another_size_is_rejected(self):
+        # the report would count 10000 paths, the floor 50000
+        res = simulate_martingale_batch(P, make_grid(10.0, 200), seed=2, replicates=10_000)
+        with pytest.raises(ValueError, match="10000 paths"):
+            clt_test(P, 10.0, 50_000, seed=7, result=res)
 
     def test_critical_values(self):
         assert ks_critical_value(100, 0.05) == pytest.approx(0.1358, rel=1e-12)
