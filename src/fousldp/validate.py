@@ -213,9 +213,6 @@ def mc_tail(
 # ---------------------------------------------------------------------------
 
 
-#: the golden-section search stops when its bracket is this narrow
-_LEGENDRE_XATOL = 1e-12
-
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -255,8 +252,9 @@ def legendre_oracle(params: ModelParams, target: str, c: float) -> OracleReport:
     functional = _functional(target)
     lo, hi, obj = functional.legendre(params, c)
     closed = functional.rate(params, c)
-    # the bracket cannot narrow below a few ulps of its end points
-    tol = _LEGENDRE_XATOL + 4.0 * math.ulp(max(abs(lo), abs(hi)))
+    # stop at a 1e-12 bracket, which cannot narrow below a few ulps of its
+    # end points
+    tol = 1e-12 + 4.0 * math.ulp(max(abs(lo), abs(hi)))
     x, fx = _golden_min(obj, lo, hi, tol)
     best = -fx
     at_boundary = hi - x <= 2.0 * tol
@@ -333,7 +331,8 @@ def gamma_contour_oracle(
     the integration range is truncated where that factor drops below
     1e-16 and adaptive quadrature is applied to the real and imaginary
     parts separately. The note gives the largest error estimate of the
-    four quadratures, and says so if any of them warned.
+    four quadratures, says so if any of them warned, and ends with the
+    off-symmetry residual.
     """
     from scipy.integrate import quad
 
@@ -362,10 +361,9 @@ def gamma_contour_oracle(
         is_, e4 = quad(g_re, -U, U, weight="sin", wvar=gamma, **opts)
     re = rc + rs
     im = ic - is_
-    if max(e1, e2, e3, e4) > 1e-8:
-        raise ArithmeticError(
-            f"quadrature did not converge (errors {max(e1, e2, e3, e4):.1e})"
-        )
+    err = max(e1, e2, e3, e4)
+    if err > 1e-8:
+        raise ArithmeticError(f"quadrature did not converge (errors {err:.1e})")
     series = gamma_contour_series(a, nu, gamma, sigma2, T, ell, p)
     lhs = complex(re, im)
     # the exact integral is real for even ell and imaginary for odd ell
@@ -375,14 +373,14 @@ def gamma_contour_oracle(
     else:
         lhs_main, rhs_main = lhs.imag, series.imag
         resid = abs(lhs.real)
+    warned = "; quad warned" if caught else ""
     return OracleReport(
         label=f"gamma contour a={a} nu={nu} gamma={gamma} ell={ell} p={p} T={T}",
         lhs=lhs_main,
         rhs=rhs_main,
         abs_err=abs(lhs_main - rhs_main),
         rel_err=abs(lhs_main - rhs_main) / abs(rhs_main) if abs(rhs_main) > 1e-300 else None,
-        note=f"off-symmetry residual {resid:.2e}; quadrature error "
-             f"{max(e1, e2, e3, e4):.1e}" + ("; quad warned" if caught else ""),
+        note=f"quadrature error {err:.1e}{warned}; off-symmetry residual {resid:.2e}",
     )
 
 

@@ -1,6 +1,7 @@
 """Tests of the Monte Carlo harness and numerical oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,24 @@ class TestGammaContour:
         r = gamma_contour_oracle(2.5, 0.3, 0.7, 2.0, 1e3, ell=0, p=1)
         resid = float(r.note.split()[-1])
         assert resid < 1e-8
+
+    def test_quad_warning_is_noted_not_raised(self, monkeypatch):
+        import scipy.integrate
+
+        real_quad = scipy.integrate.quad
+
+        def warning_quad(*args, **kwargs):
+            warnings.warn("roundoff", scipy.integrate.IntegrationWarning)
+            return real_quad(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "quad", warning_quad)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            r = gamma_contour_oracle(2.5, 0.3, 0.7, 2.0, 1e3, ell=0, p=1)
+        assert caught == []
+        assert "; quad warned;" in r.note
+        # the off-symmetry residual stays the last field of the note
+        assert float(r.note.split()[-1]) < 1e-8
 
     def test_odd_ell_is_imaginary(self):
         r = gamma_contour_oracle(1.0, 0.5, 1.0, 1.0, 1e3, ell=1, p=1)
