@@ -26,9 +26,9 @@ Exit codes: 0 success, 2 invalid parameter values, 3 numerical failure,
 
 scipy is slow to import, so each command loads only the scipy module it
 calls: ``rate``, ``tail``, ``saddle``, ``simulate``, ``mc`` and
-``oracle --kind legendre`` load none, ``oracle --kind gamma-contour`` loads
-``scipy.integrate`` (which imports ``scipy.optimize`` itself) and ``clt``
-loads ``scipy.stats``.
+``oracle --kind legendre`` load none, ``oracle --kind bessel`` loads
+``scipy.special``, ``oracle --kind gamma-contour`` loads ``scipy.integrate``
+(which imports ``scipy.optimize`` itself) and ``clt`` loads ``scipy.stats``.
 """
 
 from __future__ import annotations

@@ -361,9 +361,10 @@ def tail_energy(
 
 
 def _energy_legendre(params: ModelParams, c: float):
-    # the tilt domain is (-inf, a_h); a bracket of width max(50, 10 theta^2)
-    # below it holds the maximizer of c a - L(a)
-    hi = params.a_h - 1e-9
+    # the tilt domain is (-inf, a_h) and L is finite at a_h, where the
+    # maximizer of c a - L(a) sits beyond c*; a bracket of width
+    # max(50, 10 theta^2) below a_h holds it
+    hi = params.a_h
     lo = hi - max(50.0, 10.0 * params.theta**2)
     return lo, hi, lambda a: -(c * a - energy_l(params, a))
 

@@ -11,13 +11,10 @@ the Bessel-product combination
 
 together with the first two coefficients of its large-argument expansion.
 
-Evaluation strategy: ascending power series for small argument, the
-large-argument asymptotic series (DLMF 10.40.1) for large argument. The
-crossover sits at ``z = 20``; both methods agree to better than 1e-10 on the
-band ``z in [15, 25]``, which is asserted by the test suite. Above the
-crossover the reflected ``e^{-2z}`` term of the single Bessel value is
-dropped: for ``z >= 20`` it is below ``4.3e-18`` relative, less than half
-an ulp of the leading sum, so leaving it out changes no bit.
+Every scaled Bessel value comes from ``scipy.special.ive``, one method at
+every ``z``. It is imported inside the functions that call it: importing
+``scipy.special`` takes about a third of a second, which the commands that
+evaluate no Bessel function should not pay.
 
 ``r_H`` needs only two of its four Bessel values. The Wronskian
 (DLMF 10.28.1) with the recurrences for ``I_{nu-1}`` gives
@@ -28,10 +25,7 @@ an ulp of the leading sum, so leaving it out changes no bit.
         \mathrm{Ie}_H(z)\,\mathrm{Ie}_{1-H}(z) + 2 e^{-2z},
 
 with ``Ie`` the scaled Bessel value. Every term is positive, so nothing
-cancels, and one form serves at every ``z``: the scaled values come from
-the series below the crossover and from the asymptotic sums above, where
-``2 pi z Ie_H Ie_{1-H}`` is the product of the two sums and
-``2 e^{-2z}`` is below half an ulp.
+cancels.
 
 All functions are pure and safe for concurrent use.
 """
@@ -52,11 +46,6 @@ __all__ = [
     "RHExpansion",
 ]
 
-#: series/asymptotics crossover for bessel_i; validated on the band [15, 25]
-BESSEL_CROSSOVER = 20.0
-
-_MAX_SERIES_TERMS = 500
-
 
 def gamma_real(x: float) -> float:
     """Gamma function on the real line, poles excluded.
@@ -76,48 +65,6 @@ def gamma_real(x: float) -> float:
     return math.gamma(x)
 
 
-def _bessel_i_series_scaled(nu: float, z: float) -> float:
-    # e^{-z} * sum_k (z/2)^{nu+2k} / (k! Gamma(nu+k+1)); converges fast for z <= 25
-    if nu <= -1 and nu == math.floor(nu):
-        # I_{-n} = I_n for integer order
-        nu = -nu
-    term = math.exp(nu * math.log(z / 2.0) - z) / math.gamma(nu + 1.0)
-    total = term
-    q = z * z / 4.0
-    for k in range(1, _MAX_SERIES_TERMS):
-        term *= q / (k * (nu + k))
-        total += term
-        if abs(term) <= 1e-18 * abs(total):
-            return total
-    raise ArithmeticError(f"bessel series failed to converge (nu={nu}, z={z})")
-
-
-def _asymptotic_sum(nu: float, z: float) -> float:
-    # sum_k (-1)^k a_k(nu)/z^k with a_k = prod_j (4 nu^2 - (2j-1)^2)/(k! 8^k),
-    # truncated at the smallest term (the series is divergent); depends on
-    # nu only through nu^2, so nu and -nu give the same bits
-    mu = 4.0 * nu * nu
-    total = 1.0
-    term = 1.0
-    prev = math.inf
-    for k in range(1, 60):
-        term *= -(mu - (2 * k - 1) ** 2) / (8.0 * k * z)
-        if abs(term) >= prev:
-            break
-        total += term
-        prev = abs(term)
-        if prev <= 1e-18 * abs(total):
-            break
-    return total
-
-
-def _bessel_i_asym_scaled(nu: float, z: float) -> float:
-    # e^{-z} I_nu(z) for z >= BESSEL_CROSSOVER; the reflected term
-    # -sin(pi nu) e^{-2z} (...) is below 4.3e-18 relative there, under half
-    # an ulp of the leading sum, so it is left out
-    return _asymptotic_sum(nu, z) / math.sqrt(2.0 * math.pi * z)
-
-
 def bessel_i_scaled(nu: float, z: float) -> float:
     """Exponentially scaled modified Bessel function ``exp(-z) I_nu(z)``.
 
@@ -128,9 +75,9 @@ def bessel_i_scaled(nu: float, z: float) -> float:
         raise ValueError(f"bessel_i_scaled requires z > 0, got z={z}")
     if abs(nu) >= 2:
         raise ValueError(f"order out of supported range |nu| < 2, got nu={nu}")
-    if z < BESSEL_CROSSOVER:
-        return _bessel_i_series_scaled(nu, z)
-    return _bessel_i_asym_scaled(nu, z)
+    from scipy.special import ive
+
+    return float(ive(nu, z))
 
 
 def bessel_i(nu: float, z: float) -> float:
@@ -156,22 +103,15 @@ def r_h_scaled(hurst: float, z: float) -> float:
     This is the form used throughout the model:
     ``r_T(b) = r_h_scaled(H, phi*T/2) - 1`` exactly. It is evaluated as
     ``2 pi z/sin(pi H) Ie_H Ie_{1-H} + 2 e^{-2z}`` (see the module
-    docstring), with ``2 pi z Ie_H Ie_{1-H}`` equal to the product of the
-    two asymptotic sums for ``z >= 20``.
+    docstring).
     """
     _check_hurst_half_open(hurst)
     if not z > 0:
         raise ValueError(f"r_h_scaled requires z > 0, got z={z}")
-    h = hurst
-    if z < BESSEL_CROSSOVER:
-        pair = (
-            2.0 * math.pi * z
-            * _bessel_i_series_scaled(h, z)
-            * _bessel_i_series_scaled(1.0 - h, z)
-        )
-    else:
-        pair = _asymptotic_sum(h, z) * _asymptotic_sum(1.0 - h, z)
-    return pair / math.sin(math.pi * h) + 2.0 * math.exp(-2.0 * z)
+    from scipy.special import ive
+
+    pair = 2.0 * math.pi * z * float(ive(hurst, z)) * float(ive(1.0 - hurst, z))
+    return pair / math.sin(math.pi * hurst) + 2.0 * math.exp(-2.0 * z)
 
 
 def r_h(hurst: float, z: float) -> float:

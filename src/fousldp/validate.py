@@ -245,9 +245,11 @@ def legendre_oracle(params: ModelParams, target: str, c: float) -> OracleReport:
     Energy: maximizes ``c a - L(a)`` over the tilt domain ``(-inf, a_h)``.
     MLE: maximizes ``-L(a)`` over the tilt domain of the auxiliary
     statistic. Both objectives are concave, so one golden-section search
-    over the functional's bracket finds the maximizer; one within twice the
-    search tolerance of the bracket's upper end, as beyond the steepness
-    threshold, is reported in the note as a boundary maximizer.
+    over the functional's bracket finds the maximizer. The bracket's upper
+    end is scored too, and the better of the two is kept: beyond the
+    steepness threshold the energy's maximizer is that end itself. One
+    within twice the search tolerance of it is reported in the note as a
+    boundary maximizer.
     """
     functional = _functional(target)
     lo, hi, obj = functional.legendre(params, c)
@@ -255,7 +257,9 @@ def legendre_oracle(params: ModelParams, target: str, c: float) -> OracleReport:
     # stop at a 1e-12 bracket, which cannot narrow below a few ulps of its
     # end points
     tol = 1e-12 + 4.0 * math.ulp(max(abs(lo), abs(hi)))
-    x, fx = _golden_min(obj, lo, hi, tol)
+    x, fx = min(
+        _golden_min(obj, lo, hi, tol), (hi, obj(hi)), key=lambda point: point[1]
+    )
     best = -fx
     at_boundary = hi - x <= 2.0 * tol
     note = "maximizer at domain boundary" if at_boundary else "interior maximizer"

@@ -525,12 +525,14 @@ print(json.dumps(loaded))
         (["mc", *MODEL, "--target", "energy", "--c", "0.7", "--T", "5",
           "--grid-n", "150", "--replicates", "10000"], [], ["scipy"]),
         (["oracle", *MODEL, "--kind", "legendre", "--c", "0.7"], [], ["scipy"]),
+        (["oracle", "--kind", "bessel"], ["scipy.special"],
+         ["scipy.stats", "scipy.optimize", "scipy.integrate"]),
         # scipy.integrate itself imports scipy.optimize
         (["oracle", "--kind", "gamma-contour", "--T", "1000"],
          ["scipy.integrate"], ["scipy.stats"]),
         (["clt", *MODEL, "--T", "5", "--grid-n", "150", "--replicates", "1000"],
          ["scipy.stats"], []),
-    ], ids=["mc", "oracle-legendre", "oracle-gamma-contour", "clt"])
+    ], ids=["mc", "oracle-legendre", "oracle-bessel", "oracle-gamma-contour", "clt"])
     def test_each_command_loads_only_the_scipy_it_calls(self, argv, wanted,
                                                         unwanted):
         # each validation function imports its own scipy module, so one

@@ -6,12 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fousldp import special
 from fousldp.special import (
-    BESSEL_CROSSOVER,
-    _asymptotic_sum,
-    _bessel_i_asym_scaled,
-    _bessel_i_series_scaled,
     bessel_i,
     bessel_i_scaled,
     gamma_real,
@@ -88,14 +83,6 @@ class TestBesselI:
         rhs = 2.0 * nu / z * bessel_i_scaled(nu, z)
         assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(rhs)))
 
-    def test_crossover_band_agreement(self):
-        # series and asymptotics must agree across the crossover band
-        for z in np.linspace(15.0, 25.0, 21):
-            for nu in ORDERS:
-                a = _bessel_i_series_scaled(nu, float(z))
-                b = _bessel_i_asym_scaled(nu, float(z))
-                assert abs(a - b) <= 1e-10 * abs(a)
-
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             bessel_i_scaled(0.25, -1.0)
@@ -132,19 +119,11 @@ class TestRH:
             float(ref * mp.exp(-2 * zz)), rel=1e-11
         )
 
-    @pytest.mark.parametrize("hurst", [0.5000001, 0.55, 0.75, 0.9, 0.99])
-    def test_pair_sums_depend_on_order_squared(self, hurst):
-        # the product branch rests on the sums of nu and -nu being equal
-        for nu in (hurst, 1.0 - hurst):
-            for z in np.geomspace(BESSEL_CROSSOVER, 1e6, 30):
-                assert _asymptotic_sum(nu, float(z)) == _asymptotic_sum(-nu, float(z))
-
     def test_product_branch_matches_four_factor_form(self):
-        # below the crossover the two forms round differently (3.6e-15
-        # measured); above it they share the asymptotic sums
+        # the Wronskian form against all four Bessel values
         cases = [
-            (0.01, math.nextafter(BESSEL_CROSSOVER, 0.0), 1e-14),
-            (BESSEL_CROSSOVER, 1e6, 1e-15),
+            (0.01, math.nextafter(20.0, 0.0), 1e-14),
+            (20.0, 1e6, 1e-15),
         ]
         for lo, hi, bound in cases:
             for hurst in (0.5000001, 0.55, 0.75, 0.9, 0.99):
@@ -159,18 +138,22 @@ class TestRH:
 
     @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.9, 0.99])
     def test_continuous_across_crossover(self, hurst):
-        below = r_h_scaled(hurst, math.nextafter(BESSEL_CROSSOVER, 0.0))
-        at = r_h_scaled(hurst, BESSEL_CROSSOVER)
+        below = r_h_scaled(hurst, math.nextafter(20.0, 0.0))
+        at = r_h_scaled(hurst, 20.0)
         assert abs(below - at) <= 1e-10 * at
 
     def test_product_branch_runs_two_sums(self, monkeypatch):
+        # the Wronskian form takes two scaled Bessel values, not four
+        import scipy.special
+
         calls = []
+        ive = scipy.special.ive
 
         def counted(nu, z):
             calls.append(nu)
-            return _asymptotic_sum(nu, z)
+            return ive(nu, z)
 
-        monkeypatch.setattr(special, "_asymptotic_sum", counted)
+        monkeypatch.setattr(scipy.special, "ive", counted)
         r_h_scaled(0.75, 50.0)
         assert len(calls) == 2
 
@@ -216,7 +199,3 @@ class TestRH:
                 r_h_scaled(h, 1.0)
         with pytest.raises(ValueError):
             r_h_coeffs(0.75, 3)
-
-
-def test_crossover_constant_in_valid_band():
-    assert 15.0 <= BESSEL_CROSSOVER <= 25.0

@@ -53,6 +53,14 @@ class TestLegendreOracle:
             r_in = legendre_oracle(P, "energy", c)
             assert "interior" in r_in.note, c
 
+    def test_boundary_maximizer_where_the_rate_is_small(self):
+        # beyond c_star the maximizer is a_h itself; where the rate is this
+        # small, stopping 1e-9 short of a_h costs 1.7e-2 relative
+        params = ModelParams(theta=-0.001, hurst=0.99)
+        r = legendre_oracle(params, "energy", 3.0 * c_star(params))
+        assert r.rel_err < 1e-12, r
+        assert "boundary" in r.note
+
     def test_unknown_target(self):
         with pytest.raises(ValueError):
             legendre_oracle(P, "drift", 0.5)
