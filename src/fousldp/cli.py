@@ -21,7 +21,8 @@ list for a repeatable option, true or false for a switch); one that does not
 is an invalid parameter.
 
 Exit codes: 0 success, 2 invalid parameter values, 3 numerical failure,
-64 usage errors (unknown subcommand or flag, a flag abbreviated, or
+64 usage errors (unknown subcommand or flag, a flag abbreviated, an
+explicit ``oracle`` flag that its ``--kind`` does not read, or
 ``oracle --kind bessel`` without mpmath, which the ``test`` extra installs).
 
 scipy is slow to import, so each command loads only the scipy module it
@@ -275,6 +276,23 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+#: the options each ``oracle --kind`` reads, by dest; ``--kind``, ``--out``
+#: and ``--config`` are read by every kind
+_ORACLE_READS = {
+    "legendre": {"theta", "hurst", "target", "c"},
+    "gamma-contour": {"shape", "nu", "gamma_freq", "sigma2", "T", "ell", "p"},
+    "bessel": set(),
+}
+
+
+def _check_oracle_flags(command: _Parser, kind: str, explicit: set[str]) -> None:
+    # a flag the chosen kind does not read would be dropped without a word
+    unread = explicit - _ORACLE_READS[kind] - {"kind", "out", "config"}
+    if unread:
+        flags = sorted(command.options[d].option_strings[0] for d in unread)
+        raise _UsageError(f"oracle --kind {kind} does not read {', '.join(flags)}")
+
+
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     # the parser and each subcommand's parser by name
     parser = _Parser(prog="fousldp", description=__doc__.splitlines()[0])
@@ -371,9 +389,9 @@ def _config_token(action: argparse.Action, value):
 
 
 def _apply_config(command: _Parser, args: argparse.Namespace,
-                  argv: Sequence[str]) -> None:
-    # config supplies defaults; flags explicitly present on the command
-    # line keep their parsed values
+                  explicit: set[str]) -> None:
+    # config supplies defaults; the dests of flags explicitly present on
+    # the command line keep their parsed values
     if not getattr(args, "config", None):
         return
     try:
@@ -383,8 +401,6 @@ def _apply_config(command: _Parser, args: argparse.Namespace,
         raise _UsageError(f"cannot read config file: {exc}") from exc
     if not isinstance(cfg, dict):
         raise _UsageError("config file must contain a JSON object")
-    explicit = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
-                for tok in argv if tok.startswith("--")}
     for key, value in cfg.items():
         attr = key.replace("-", "_")
         if attr not in command.options:
@@ -403,7 +419,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(commands[args.command], args, argv)
+        explicit = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
+                    for tok in argv if tok.startswith("--")}
+        _apply_config(commands[args.command], args, explicit)
+        if args.command == "oracle":
+            _check_oracle_flags(commands["oracle"], args.kind, explicit)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -487,7 +487,10 @@ def saddle_solve(params: ModelParams, c: float, T: float) -> SaddleSolution:
         if not abs(r) < abs(resid):
             break
         a_T, resid = nxt, r
-    if abs(resid) > 1e-10 * max(1.0, abs(c)):
+    # past the bound, a_T still stands if its residual is no larger than
+    # the change of f across one ulp, to the neighbour the polish rejected
+    # (r is resid itself when the polish ran out of steps: nothing passes)
+    if abs(resid) > 1e-10 * max(1.0, abs(c)) and not abs(resid) <= abs(r - resid):
         raise ArithmeticError(f"saddle residual {resid:.3e} exceeds tolerance")
     phi_T = energy_phi(params, a_T)
     s = params.sin_pi_h

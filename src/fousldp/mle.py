@@ -259,13 +259,16 @@ def tail_mle(
 
 
 def _mle_legendre(params: ModelParams, c: float):
-    # -L(a) over the effective tilt domain of Z_T(c), kept a relative 1e-9
-    # inside both endpoints
-    eps = 1e-9
+    # -L(a) over the effective tilt domain of Z_T(c). The oracle never
+    # evaluates the lower end, and it scores the right end, where the
+    # maximizer sits at a boundary level. L is finite there, except that at
+    # c = theta/2 the end is the zero of L's square root and can round an
+    # ulp past it; step back to the last float where L is finite
     dom = mle_domain(params, c)
-    lo = dom.a_1 + eps * max(1.0, abs(dom.a_1))
-    hi = dom.a_right - eps * max(1.0, abs(dom.a_right))
-    return lo, hi, lambda a: mle_l(params, a, c)
+    hi = dom.a_right
+    while not params.theta * params.theta + 2.0 * hi * c >= 0:
+        hi = math.nextafter(hi, -math.inf)
+    return dom.a_1, hi, lambda a: mle_l(params, a, c)
 
 
 #: the estimator ``theta_hat_T``: event ``{theta_hat >= c}``, or

@@ -460,59 +460,51 @@ def _oracle_from_dy(params: ModelParams, grid: TimeGrid, Y: np.ndarray):
     return Q, S, num
 
 
-#: the physical route's factors for the last (theta, hurst, grid) it ran on,
-#: as ``(key, chol, K)``; see ``_fbm_factors``
+#: the physical route's map ``K`` for the last (theta, hurst, grid) it ran
+#: on, as ``(key, K)``; see ``_fbm_map``
 _fbm_cache = None
 _fbm_cache_lock = threading.Lock()
 
 
-def _fbm_factors(params: ModelParams, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(chol, K)`` of the physical route on ``grid``.
+def _fbm_map(params: ModelParams, grid: TimeGrid) -> np.ndarray:
+    """Read-only lower-triangular ``K`` with ``Y = K z`` on ``grid``.
 
-    ``chol`` maps standard normals ``z`` to the fBM increments ``dW``, and
-    ``K`` maps them to the whitened process at ``t_1..t_n``: ``Y = K z``.
-    The route is linear in ``z``, so ``K`` is the Euler step
-    ``dX_i = theta X_i dt_i + dW_i`` run once on the columns of ``chol``,
-    whitened by the kernel weights. Both factors are lower-triangular.
-    One entry is kept, keyed by the parameters and the grid nodes, so
-    equal grids from separate ``make_grid`` calls share it.
+    ``K`` maps standard normals ``z`` to the whitened process at
+    ``t_1..t_n``. The route is linear in ``z``, so ``K`` is the Euler step
+    ``dX_i = theta X_i dt_i + dW_i`` run once on the columns of the fBM
+    increment factor, whitened by the kernel weights. One entry is kept,
+    keyed by the parameters and the grid nodes, so equal grids from
+    separate ``make_grid`` calls share it.
     """
     global _fbm_cache
     key = (params.theta, params.hurst, grid.nodes.tobytes())
     with _fbm_cache_lock:
         if _fbm_cache is None or _fbm_cache[0] != key:
             _fbm_cache = None  # free the old entry before building the new one
-            _fbm_cache = (key, *_build_fbm_factors(params, grid))
-        return _fbm_cache[1], _fbm_cache[2]
+            _fbm_cache = (key, _build_fbm_map(params, grid))
+        return _fbm_cache[1]
 
 
-def _build_fbm_factors(params: ModelParams, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    # only the physical route needs BLAS's triangular product
-    from scipy.linalg.blas import dtrmm
-
-    chol = fbm_increment_cholesky(params.hurst, grid)
-    n = grid.n_intervals
+def _build_fbm_map(params: ModelParams, grid: TimeGrid) -> np.ndarray:
+    # the Euler step runs in the buffer of the Cholesky factor: row i of
+    # dX depends on z_0..z_i only and is read from the factor at step i
+    dX = fbm_increment_cholesky(params.hurst, grid)
     dt = np.diff(grid.nodes)
-    X = np.zeros(n)
-    dX = np.zeros((n, n))
-    for i in range(n):
-        # row i depends on z_0..z_i only
+    X = np.zeros(grid.n_intervals)
+    for i in range(grid.n_intervals):
         row = dX[i, : i + 1]
-        np.multiply(X[: i + 1], params.theta * dt[i], out=row)
-        row += chol[i, : i + 1]
+        row += X[: i + 1] * (params.theta * dt[i])
         X[: i + 1] += row
-    # K = weights @ dX, formed as K^T = dX^T weights^T in the buffer of dX
-    weights = kernel_weight_matrix(params, grid)
-    K = dtrmm(1.0, weights.T, dX.T, side=1, lower=0, overwrite_b=1).T
-    chol.flags.writeable = False
+    K = _whiten(kernel_weight_matrix(params, grid), dX)
     K.flags.writeable = False
-    return chol, K
+    return K
 
 
 def _whiten(K: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``Y = K z`` for an ``(n, m)`` array of normals, in the buffer of ``z``.
+    """``K z`` for a lower-triangular ``K`` and an ``(n, m)`` array ``z``,
+    in the buffer of ``z``.
 
-    Computed as ``Y^T = z^T K^T``, so that both operands are already in
+    Computed as ``(K z)^T = z^T K^T``, so that both operands are already in
     BLAS's column-major layout and nothing is copied.
     """
     from scipy.linalg.blas import dtrmm
@@ -524,10 +516,12 @@ def simulate_fbm_oracle(params: ModelParams, grid: TimeGrid, rng: RngSpec) -> Si
     """Simulate one path through the physical route (fBM + kernel).
 
     The same step as one path of ``simulate_fbm_batch``, with the shared
-    cached factors; ``M`` holds the fBM path itself.
+    cached ``K``; ``M`` holds the fBM path itself, from a Cholesky factor
+    computed on each call.
     """
-    chol, K = _fbm_factors(params, grid)
+    K = _fbm_map(params, grid)
     z = rng.generator().standard_normal((grid.n_intervals, 1))
+    chol = fbm_increment_cholesky(params.hurst, grid)
     W_path = np.concatenate(([0.0], np.cumsum(chol @ z[:, 0])))
     Y = _whiten(K, z)
     Q, S, num = _oracle_from_dy(params, grid, Y)
@@ -555,14 +549,13 @@ def simulate_fbm_batch(
     concurrently on the same thread pool. The whole map from
     ``z`` to ``Y`` (fBM factor, Euler step, kernel weights) is one fixed
     lower-triangular matrix ``K``, built once per (theta, hurst, grid) by
-    ``_fbm_factors``, so each chunk costs a single triangular product
-    ``Y = K z``. The last factors built stay cached, one grid at a time:
-    the Cholesky factor and ``K`` hold ``16 n^2`` bytes, 67 MB at
-    ``n = 2048`` and 268 MB at the ``n = 4096`` limit. The output depends
-    on the number of BLAS threads at rounding level; see the module
-    docstring.
+    ``_fbm_map``, so each chunk costs a single triangular product
+    ``Y = K z``. The last ``K`` built stays cached, one grid at a time: it
+    holds ``8 n^2`` bytes, 33.5 MB at ``n = 2048`` and 134 MB at the
+    ``n = 4096`` limit. The output depends on the number of BLAS threads
+    at rounding level; see the module docstring.
     """
-    _, K = _fbm_factors(params, grid)
+    K = _fbm_map(params, grid)
     n = grid.n_intervals
 
     def step(gen, m):

@@ -50,8 +50,9 @@ __all__ = [
 def gamma_real(x: float) -> float:
     """Gamma function on the real line, poles excluded.
 
-    Negative non-integer arguments are supported with full relative
-    accuracy (the reflection formula is applied internally).
+    The value is ``math.gamma(x)``, negative non-integer arguments
+    included; this function only turns the poles and non-finite arguments
+    into a ``ValueError``.
 
     Raises
     ------

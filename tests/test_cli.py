@@ -288,6 +288,35 @@ class TestOracleCommand:
         assert "mpmath" in err and "test extra" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["--kind", "gamma-contour", "--theta", "-1", "--hurst", "0.75", "--c", "3",
+              "--target", "mle"], "--c, --hurst, --target, --theta"),
+            (["--kind", "legendre", "--theta", "-1", "--hurst", "0.75", "--c", "1",
+              "--T", "5", "--shape", "9"], "--T, --shape"),
+            (["--kind", "legendre", "--theta", "-1", "--hurst", "0.75", "--c", "1",
+              "--gamma-freq=2"], "--gamma-freq"),
+            (["--kind", "bessel", "--nu", "0.5"], "--nu"),
+            (["--kind", "bessel", "--theta", "-1"], "--theta"),
+        ],
+        ids=["gamma-contour", "legendre", "legendre-equals", "bessel-nu", "bessel-theta"],
+    )
+    def test_flag_the_kind_does_not_read_is_usage_error(self, argv, flags, capsys):
+        assert _run(["oracle", *argv]) == cli.EXIT_USAGE
+        kind = argv[1]
+        assert capsys.readouterr().err == f"error: oracle --kind {kind} does not read {flags}\n"
+
+    def test_unread_config_value_and_out_are_allowed(self, tmp_path, capsys):
+        # only explicit flags are checked; --out and --config go with any kind
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"T": 5.0, "shape": 9.0, "theta": -1.0}))
+        out = tmp_path / "legendre.csv"
+        code = _run(["oracle", "--kind", "legendre", "--config", str(path),
+                     "--hurst", "0.75", "--c", "0.7", "--out", str(out)])
+        assert code == cli.EXIT_OK
+        assert out.read_text().startswith(ORACLE_HEADER)
+
     def test_gamma_contour_quadrature_warning_goes_to_the_note(self):
         # a roundoff warning of quad here once reached stderr; the note
         # now carries the quadrature error instead

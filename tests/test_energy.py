@@ -343,6 +343,28 @@ class TestSaddle:
         with pytest.raises(ValueError):
             saddle_solve(P, 0.7, 100.0)
 
+    @pytest.mark.parametrize(
+        "theta, hurst, level, T",
+        [
+            (-1.0, 0.75, lambda p: 8.0, 1e6),
+            (-5.0, 0.55, lambda p: 2.0 * c_star(p), 1e4),
+        ],
+        ids=["c=8,T=1e6", "c=2c*,T=1e4"],
+    )
+    def test_deep_hard_level_within_one_ulp(self, theta, hurst, level, T):
+        # the residual exceeds 1e-10 max(1, c), but the saddle equation
+        # changes sign between a_T and one of its neighbours, so no float
+        # does better than one ulp's change of f
+        p = ModelParams(theta, hurst)
+        c = level(p)
+        sol = saddle_solve(p, c, T)
+        f = lambda a: energy._lambda_t_deriv(p, a, T) - c
+        r = f(sol.a_T)
+        assert abs(r) > 1e-10 * max(1.0, c)
+        neighbours = [f(math.nextafter(sol.a_T, s)) for s in (-math.inf, math.inf)]
+        assert any(r * rn <= 0 for rn in neighbours)
+        assert sol.a_T < p.a_h
+
     def test_brentq_returns_the_float_scipy_returns(self, monkeypatch):
         # on the brackets saddle_solve builds, the transcription of Brent's
         # method and scipy.optimize.brentq agree to the last bit

@@ -16,7 +16,7 @@ from fousldp.sim import (
     RngSpec,
     TimeGrid,
     _advance_batch,
-    _fbm_factors,
+    _fbm_map,
     _oracle_from_dy,
     _whiten,
     clt_statistics,
@@ -221,7 +221,7 @@ class TestReproducibility:
         g = make_grid(10.0, 512)
         seed, replicates, chunk = 13, 700, 128
         r = simulate_fbm_batch(P, g, seed, replicates, chunk=chunk)
-        _, K = _fbm_factors(P, g)
+        K = _fbm_map(P, g)
         s_parts, th_parts = [], []
         for k, lo in enumerate(range(0, replicates, chunk)):
             gen = RngSpec(seed=seed, stream_id=k).generator()
@@ -425,20 +425,20 @@ class TestFbmRoute:
         assert p.theta_hat == pytest.approx(float(r.theta_hat[0]), rel=1e-12)
 
     def test_folded_map_is_lower_triangular(self):
+        # the map is built in the factor's buffer, whose upper triangle
+        # must be zero
         g = make_grid(5.0, 128)
-        chol, K = _fbm_factors(P, g)
-        assert not np.any(np.triu(K, 1))
-        assert not np.any(np.triu(chol, 1))
+        assert not np.any(np.triu(_fbm_map(P, g), 1))
+        assert not np.any(np.triu(fbm_increment_cholesky(P.hurst, g), 1))
 
     def test_factor_cache(self, monkeypatch):
         monkeypatch.setattr(sim, "_fbm_cache", None)
         g = make_grid(5.0, 128)
-        chol, K = _fbm_factors(P, g)
-        again = _fbm_factors(P, make_grid(5.0, 128))
-        assert again[0] is chol and again[1] is K
-        for factor in (chol, K):
-            with pytest.raises(ValueError):
-                factor[0, 0] = 1.0
+        K = _fbm_map(P, g)
+        again = _fbm_map(P, make_grid(5.0, 128))
+        assert again is K
+        with pytest.raises(ValueError):
+            K[0, 0] = 1.0
         others = [
             (ModelParams(theta=-2.0, hurst=0.75), g),
             (ModelParams(theta=-1.0, hurst=0.6), g),
@@ -446,13 +446,13 @@ class TestFbmRoute:
             (P, g),
         ]
         for params, grid in others:
-            new_chol, new_K = _fbm_factors(params, grid)
+            new_K = _fbm_map(params, grid)
             assert new_K is not K
-            assert sim._fbm_cache[1] is new_chol and sim._fbm_cache[2] is new_K
-            chol, K = new_chol, new_K
+            assert len(sim._fbm_cache) == 2 and sim._fbm_cache[1] is new_K
+            K = new_K
         # only the last entry is kept: P on g was rebuilt, equal to the first
-        assert K is not again[1]
-        assert np.array_equal(K, again[1])
+        assert K is not again
+        assert np.array_equal(K, again)
 
     def test_factor_cache_shared_across_threads(self, monkeypatch):
         # more threads than cores race for one entry; all must get it
@@ -462,11 +462,11 @@ class TestFbmRoute:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(_fbm_factors, P, g) for _ in range(32)]
+                futures = [pool.submit(_fbm_map, P, g) for _ in range(32)]
                 got = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(switch)
-        assert all(c is got[0][0] and k is got[0][1] for c, k in got)
+        assert all(K is got[0] for K in got)
 
 
 class TestCltStatistics:

@@ -61,6 +61,22 @@ class TestLegendreOracle:
         assert r.rel_err < 1e-12, r
         assert "boundary" in r.note
 
+    def test_mle_boundary_maximizer_where_the_rate_is_small(self):
+        # the estimator's maximizer is the right end of its tilt domain;
+        # stopping a relative 1e-9 short of it cost 2.2e-7 relative here
+        params = ModelParams(theta=-0.001, hurst=0.75)
+        r = legendre_oracle(params, "mle", 0.001)
+        assert r.rel_err < 1e-12, r
+        assert "boundary" in r.note
+
+    @pytest.mark.parametrize("theta, hurst", [(-0.001, 0.75), (-1.0, 0.55), (-5.0, 0.55)])
+    def test_mle_at_half_theta(self, theta, hurst):
+        # at c = theta/2 the right end of the tilt domain is the zero of L's
+        # square root, and its rounded value lies an ulp past it here
+        params = ModelParams(theta=theta, hurst=hurst)
+        r = legendre_oracle(params, "mle", theta / 2.0)
+        assert r.rel_err < 1e-12, r
+
     def test_unknown_target(self):
         with pytest.raises(ValueError):
             legendre_oracle(P, "drift", 0.5)
