@@ -48,7 +48,6 @@ from .sim import (
     clt_statistics,
     make_grid,
     simulate_fbm_batch,
-    simulate_fbm_oracle,
     simulate_martingale_batch,
     simulate_martingale_path,
 )

@@ -178,6 +178,8 @@ def _cmd_saddle(args) -> int:
 def _cmd_simulate(args) -> int:
     params = _params(args)
     grid = make_grid(args.T, args.grid_n)
+    if args.replicates < 1:
+        raise ValueError("replicates must be >= 1")
     if args.dump_paths:
         rows = []
         for rep in range(args.replicates):

@@ -88,10 +88,10 @@ class Functional:
     ``rate(params, c)`` is the large-deviation rate and ``branch(params, c,
     T)`` the name of its branch, as the rate table labels it;
     ``tail(params, c, T, with_order1)`` is the branch-dispatched sharp tail;
-    ``sample(result, T)`` reads the functional's Monte Carlo sample off a
-    batch of paths; ``legendre(params, c)`` returns ``(lo, hi, objective)``,
-    the tilt bracket and the objective whose minimum over it is minus the
-    rate.
+    ``sample(result)`` reads the functional's Monte Carlo sample off a
+    batch of paths, at the batch's horizon; ``legendre(params, c)`` returns
+    ``(lo, hi, objective)``, the tilt bracket and the objective whose
+    minimum over it is minus the rate.
     """
 
     name: str
@@ -376,7 +376,7 @@ ENERGY = Functional(
     rate=rate_energy,
     branch=lambda params, c, T: classify_branch(params, c, T).name if c > 0 else "INFINITE",
     tail=tail_energy,
-    sample=lambda result, T: result.s_terminal / T,
+    sample=lambda result: result.s_terminal / result.grid.T,
     legendre=_energy_legendre,
 )
 

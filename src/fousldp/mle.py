@@ -58,8 +58,9 @@ class MleBranch(enum.Enum):
 class MleDomain:
     """Effective tilt domain ``(a_1, a_right)`` of the statistic Z_T(c).
 
-    ``a_right`` is the analyticity endpoint ``a_2`` when ``c <= theta/2``
-    and the variance zero ``a_c_up = 2(c - theta)`` otherwise.
+    ``a_right`` is the analyticity endpoint ``a_2`` when ``c <= theta/2``,
+    taken at the last float where ``mle_l`` is real, and the variance zero
+    ``a_c_up = 2(c - theta)`` otherwise.
     """
 
     a_1: float
@@ -117,6 +118,11 @@ def mle_domain(params: ModelParams, c: float) -> MleDomain:
         a2 = prod / a1
     a_up = 2.0 * (c - theta)
     if c <= theta / 2.0:
+        # at c = theta/2, a2 is the zero of L's square root theta^2 + 2 a c,
+        # and near that level the two lie within a few ulps, so a2 can round
+        # past the zero; step back to the last float where L is real
+        while not theta * theta + 2.0 * a2 * c >= 0:
+            a2 = math.nextafter(a2, -math.inf)
         return MleDomain(a_1=a1, a_right=a2, right_is_variance_zero=False)
     return MleDomain(a_1=a1, a_right=a_up, right_is_variance_zero=True)
 
@@ -261,14 +267,9 @@ def tail_mle(
 def _mle_legendre(params: ModelParams, c: float):
     # -L(a) over the effective tilt domain of Z_T(c). The oracle never
     # evaluates the lower end, and it scores the right end, where the
-    # maximizer sits at a boundary level. L is finite there, except that at
-    # c = theta/2 the end is the zero of L's square root and can round an
-    # ulp past it; step back to the last float where L is finite
+    # maximizer sits at a boundary level
     dom = mle_domain(params, c)
-    hi = dom.a_right
-    while not params.theta * params.theta + 2.0 * hi * c >= 0:
-        hi = math.nextafter(hi, -math.inf)
-    return dom.a_1, hi, lambda a: mle_l(params, a, c)
+    return dom.a_1, dom.a_right, lambda a: mle_l(params, a, c)
 
 
 #: the estimator ``theta_hat_T``: event ``{theta_hat >= c}``, or
@@ -278,6 +279,6 @@ MLE = Functional(
     rate=rate_mle,
     branch=lambda params, c, T: classify_mle(params, c, T).name,
     tail=tail_mle,
-    sample=lambda result, T: result.theta_hat,
+    sample=lambda result: result.theta_hat,
     legendre=_mle_legendre,
 )

@@ -23,31 +23,32 @@ still first order but about 24 times smaller. The estimator is formed as
 ``theta_hat - theta = int Q dM / int Q^2 d<M>`` with the stochastic
 integral taken at the left point (Ito).
 
-The oracle route simulates the physical process: an exact fractional
-Brownian motion vector (dense covariance factorization), an Euler scheme
-for ``dX = theta X dt + dW^H``, and the whitening transform
-``Y_t = \int_0^t w(t,s) dX_s`` with singularity-aware quadrature weights.
-The two routes must agree in distribution; the test suite compares them
-with a two-sample Kolmogorov-Smirnov statistic.
+The physical route (batches only) simulates the physical process: an
+exact fractional Brownian motion vector (dense covariance factorization),
+an Euler scheme for ``dX = theta X dt + dW^H``, and the whitening
+transform ``Y_t = \int_0^t w(t,s) dX_s`` with singularity-aware
+quadrature weights. The two routes must agree in distribution; the test
+suite compares them with a two-sample Kolmogorov-Smirnov statistic.
 
-The oracle route discretizes all its integrals with left-point
+The physical route discretizes all its integrals with left-point
 (Ito-consistent) sums.
 
 Each route has one step, run by one driver. A single martingale path is
 the batch kernel run on one path, keeping its trajectories. Both batches
-go through ``_run_chunks``: fixed-size chunks, chunk ``k`` drawing from
+go through ``_run_chunks``: chunks of a fixed size per route
+(``BATCH_CHUNK`` and ``_FBM_CHUNK`` paths), chunk ``k`` drawing from
 stream ``k`` of the seed, run concurrently on a thread pool with one
 worker per core the process may use, and concatenated in chunk order.
 
-Reproducibility contract: identical (seed, stream_id, grid) draw
-identical normals, whatever the execution order. The martingale route
-turns them into bit-identical output regardless of thread count; the
-golden digests in ``tests/test_sim.py::TestReproducibility`` and the
-comparisons there of each pooled batch with a serial loop over its chunks
-enforce this. The oracle route maps its normals through BLAS matrix
-products, whose rounding depends on the number of BLAS threads: its
-output is bit-identical for a fixed thread count and moves at rounding
-level (below 1e-13 relative) when that count changes.
+Reproducibility contract: a batch is bit-identical for a given (seed,
+grid, replicates), whatever the execution order. The martingale route
+holds this regardless of thread count; the golden digests in
+``tests/test_sim.py::TestReproducibility`` and the comparisons there of
+each pooled batch with a serial loop over its chunks enforce it. The
+physical route maps its normals through BLAS matrix products, whose
+rounding depends on the number of BLAS threads: its output is
+bit-identical for a fixed thread count and moves at rounding level (below
+1e-13 relative) when that count changes.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ __all__ = [
     "simulate_martingale_batch",
     "fbm_increment_cholesky",
     "kernel_weight_matrix",
-    "simulate_fbm_oracle",
     "simulate_fbm_batch",
     "clt_statistics",
 ]
@@ -80,9 +80,12 @@ __all__ = [
 #: first grid node as a fraction of the horizon
 _FIRST_NODE_FRACTION = 1e-6
 
-#: default number of paths simulated per chunk in batch mode; fixed so that
-#: results do not depend on how chunks are scheduled
+#: paths per chunk of a martingale batch; fixed so that results do not
+#: depend on how chunks are scheduled
 BATCH_CHUNK = 1 << 15
+
+#: paths per chunk of a physical-route batch
+_FBM_CHUNK = 256
 
 #: time steps drawn per block; drawing the (n, m) normals of a chunk in row
 #: blocks yields the same numbers as one draw and bounds the memory per chunk
@@ -136,9 +139,9 @@ class RngSpec:
 class SimPath:
     """A single simulated path of the martingale-domain system.
 
-    ``S`` is the running energy ``int_0^t Q^2 d<M>`` (nondecreasing, S_0=0);
-    ``theta_hat`` is the drift estimator at the horizon, formed the same way
-    as in the batch of the route that produced the path.
+    ``M`` is the fundamental martingale; ``S`` is the running trapezoidal
+    energy ``int_0^t Q^2 d<M>`` (nondecreasing, S_0=0); ``theta_hat`` is the
+    drift estimator at the horizon, formed as in the martingale batch.
     """
 
     grid: TimeGrid
@@ -205,11 +208,6 @@ def _dq_increments(params: ModelParams, grid: TimeGrid) -> np.ndarray:
     t = grid.nodes
     expo = 2.0 - 2.0 * params.hurst
     return np.diff(t**expo) / params.lambda_h
-
-
-def _power_weights(params: ModelParams, grid: TimeGrid) -> np.ndarray:
-    # s^{2H-1} evaluated at the left nodes (zero at the origin since 2H-1>0)
-    return grid.nodes[:-1] ** (2.0 * params.hurst - 1.0)
 
 
 def _trapezoid_coefficients(params: ModelParams, grid: TimeGrid):
@@ -326,13 +324,14 @@ def _run_chunks(
 ) -> BatchResult:
     """The batch driver shared by both routes.
 
-    Splits ``replicates`` paths into chunks of ``chunk`` (the last one
-    partial) and runs ``step(gen, m) -> (S_T, theta_hat)`` on chunk ``k``
-    with the generator of stream ``k``, so the output is bit-identical for
-    a given (seed, grid, replicates, chunk) regardless of scheduling. The
-    chunks run concurrently on a thread pool with one worker per core the
-    process may use (its CPU affinity), at most one per chunk; numpy and
-    BLAS release the GIL in the draws, the ufunc loops and the products.
+    Splits ``replicates`` paths into chunks of ``chunk``, the route's fixed
+    size (the last one partial), and runs ``step(gen, m) -> (S_T,
+    theta_hat)`` on chunk ``k`` with the generator of stream ``k``, so the
+    output is bit-identical for a given (seed, grid, replicates) regardless
+    of scheduling. The chunks run concurrently on a thread pool with one
+    worker per core the process may use (its CPU affinity), at most one per
+    chunk; numpy and BLAS release the GIL in the draws, the ufunc loops and
+    the products.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -356,13 +355,12 @@ def simulate_martingale_batch(
     grid: TimeGrid,
     seed: int,
     replicates: int,
-    chunk: int = BATCH_CHUNK,
 ) -> BatchResult:
     """Simulate terminal ``(S_T, theta_hat_T)`` for many independent paths.
 
-    Paths are generated in fixed-size chunks, one RNG stream per chunk
-    (stream index = chunk index), run concurrently by ``_run_chunks``. The
-    golden digests and the serial-loop comparison in
+    Paths are generated in chunks of ``BATCH_CHUNK``, one RNG stream per
+    chunk (stream index = chunk index), run concurrently by ``_run_chunks``.
+    The golden digests and the serial-loop comparison in
     ``tests/test_sim.py::TestReproducibility`` enforce that the output does
     not depend on the number of cores.
     """
@@ -371,11 +369,11 @@ def simulate_martingale_batch(
         S, num = _advance_batch(params, grid, gen, m)
         return S, params.theta + num / S
 
-    return _run_chunks(grid, seed, replicates, chunk, step)
+    return _run_chunks(grid, seed, replicates, BATCH_CHUNK, step)
 
 
 # ---------------------------------------------------------------------------
-# physical-domain oracle: fractional Brownian motion + whitening kernel
+# physical route: fractional Brownian motion + whitening kernel
 # ---------------------------------------------------------------------------
 
 _FBM_MAX_N = 4096
@@ -439,25 +437,25 @@ def kernel_weight_matrix(params: ModelParams, grid: TimeGrid) -> np.ndarray:
 
 
 def _oracle_from_dy(params: ModelParams, grid: TimeGrid, Y: np.ndarray):
-    # derive (Q, S, numerator) from a Y path on the grid; Y has shape
+    # derive (S, numerator) from a Y path on the grid; Y has shape
     # (n, m) for n grid times t_1..t_n (Y at t_0 = 0 implicit)
-    t = grid.nodes
     dq = _dq_increments(params, grid)
-    wl = _power_weights(params, grid)
-    tr = t[1:] ** (2.0 * params.hurst - 1.0)
+    # t^{2H-1} at every node, zero at the origin since 2H-1 > 0
+    tr = grid.nodes ** (2.0 * params.hurst - 1.0)
     dY = np.empty_like(Y)
     dY[0] = Y[0]
     np.subtract(Y[1:], Y[:-1], out=dY[1:])
-    # Q = (l_H/2)(t^{2H-1} Y + J), J the running sum of s^{2H-1} dY
-    Q = np.multiply(wl[:, None], dY)
+    # Q = (l_H/2)(t^{2H-1} Y + J), J the running sum of s^{2H-1} dY at the
+    # left nodes
+    Q = np.multiply(tr[:-1, None], dY)
     np.cumsum(Q, axis=0, out=Q)
-    Q += tr[:, None] * Y
+    Q += tr[1:, None] * Y
     Q *= params.l_h / 2.0
     # left-point sums; Q at t_0 is zero
     S = dq[1:] @ np.square(Q[:-1])
     dY[1:] *= Q[:-1]
     num = dY[1:].sum(axis=0)
-    return Q, S, num
+    return S, num
 
 
 #: the physical route's map ``K`` for the last (theta, hurst, grid) it ran
@@ -512,47 +510,23 @@ def _whiten(K: np.ndarray, z: np.ndarray) -> np.ndarray:
     return dtrmm(1.0, K.T, z.T, side=1, lower=0, overwrite_b=1).T
 
 
-def simulate_fbm_oracle(params: ModelParams, grid: TimeGrid, rng: RngSpec) -> SimPath:
-    """Simulate one path through the physical route (fBM + kernel).
-
-    The same step as one path of ``simulate_fbm_batch``, with the shared
-    cached ``K``; ``M`` holds the fBM path itself, from a Cholesky factor
-    computed on each call.
-    """
-    K = _fbm_map(params, grid)
-    z = rng.generator().standard_normal((grid.n_intervals, 1))
-    chol = fbm_increment_cholesky(params.hurst, grid)
-    W_path = np.concatenate(([0.0], np.cumsum(chol @ z[:, 0])))
-    Y = _whiten(K, z)
-    Q, S, num = _oracle_from_dy(params, grid, Y)
-    Yfull = np.concatenate(([0.0], Y[:, 0]))
-    Qfull = np.concatenate(([0.0], Q[:, 0]))
-    Sfull = np.concatenate(
-        ([0.0], np.cumsum(Qfull[:-1] ** 2 * _dq_increments(params, grid)))
-    )
-    return SimPath(
-        grid=grid, M=W_path, Y=Yfull, Q=Qfull, S=Sfull, theta_hat=float(num[0] / S[0])
-    )
-
-
 def simulate_fbm_batch(
     params: ModelParams,
     grid: TimeGrid,
     seed: int,
     replicates: int,
-    chunk: int = 256,
 ) -> BatchResult:
     """Terminal statistics for many physical-route paths.
 
-    Same driver and streams as the martingale batch: chunk ``k`` draws its
-    ``(n, m)`` standard normals ``z`` from stream ``k``, and the chunks run
-    concurrently on the same thread pool. The whole map from
-    ``z`` to ``Y`` (fBM factor, Euler step, kernel weights) is one fixed
-    lower-triangular matrix ``K``, built once per (theta, hurst, grid) by
-    ``_fbm_map``, so each chunk costs a single triangular product
-    ``Y = K z``. The last ``K`` built stays cached, one grid at a time: it
-    holds ``8 n^2`` bytes, 33.5 MB at ``n = 2048`` and 134 MB at the
-    ``n = 4096`` limit. The output depends on the number of BLAS threads
+    Same driver and streams as the martingale batch, in chunks of
+    ``_FBM_CHUNK`` paths: chunk ``k`` draws its ``(n, m)`` standard normals
+    ``z`` from stream ``k``, and the chunks run concurrently on the same
+    thread pool. The whole map from ``z`` to ``Y`` (fBM factor, Euler
+    step, kernel weights) is one fixed lower-triangular matrix ``K``, built
+    once per (theta, hurst, grid) by ``_fbm_map``, so each chunk costs a
+    single triangular product ``Y = K z``. The last ``K`` built stays
+    cached, one grid at a time: it holds ``8 n^2`` bytes, 33.5 MB at
+    ``n = 2048`` and 134 MB at the ``n = 4096`` limit. The output depends on the number of BLAS threads
     at rounding level; see the module docstring.
     """
     K = _fbm_map(params, grid)
@@ -560,24 +534,26 @@ def simulate_fbm_batch(
 
     def step(gen, m):
         Y = _whiten(K, gen.standard_normal((n, m)))
-        _, S, num = _oracle_from_dy(params, grid, Y)
+        S, num = _oracle_from_dy(params, grid, Y)
         return S, num / S
 
-    return _run_chunks(grid, seed, replicates, chunk, step)
+    return _run_chunks(grid, seed, replicates, _FBM_CHUNK, step)
 
 
 def clt_statistics(
-    result: BatchResult, params: ModelParams, T: float
+    result: BatchResult, params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Standardized central-limit samples for the energy and the estimator.
 
     Energy: ``(S_T + T/(2 theta)) / sqrt(T)`` has limiting variance
     ``-1/(2 theta^3)``. Estimator: ``sqrt(T)(theta_hat - theta)`` has
-    limiting variance ``-2 theta``. Both samples are divided by the
-    theoretical standard deviations, so each converges to N(0, 1).
+    limiting variance ``-2 theta``, with ``T = result.grid.T``. Both samples
+    are divided by the theoretical standard deviations, so each converges
+    to N(0, 1).
     """
     if result.replicates < 1000:
         raise ValueError("need at least 1000 paths for CLT statistics")
+    T = result.grid.T
     theta = params.theta
     energy = (result.s_terminal + T / (2.0 * theta)) / math.sqrt(T)
     energy = energy / math.sqrt(-1.0 / (2.0 * theta**3))

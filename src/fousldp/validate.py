@@ -176,34 +176,25 @@ def mc_tail(
     approx, closed, underpowered = _mc_closed_form(
         params, target, c, T, replicates, with_order1
     )
-    label = f"{target} tail c={c} T={T}"
-    if underpowered:
-        return MCReport(
-            label=label,
-            estimate=math.nan,
-            std_error=math.nan,
-            replicates=replicates,
-            closed_form=closed,
-            z_score=None,
-            underpowered=True,
-            seed=seed,
-        )
-    if result is None:
-        grid = make_grid(T, grid_n)
-        result = simulate_martingale_batch(params, grid, seed, replicates)
-    sample = _functional(target).sample(result, T)
-    hits = np.sum(sample <= c) if approx.lower_tail else np.sum(sample >= c)
-    est = float(hits) / replicates
-    se = math.sqrt(max(est * (1.0 - est), 1e-300) / replicates)
-    z = (est - closed) / se if se > 0 else None
+    est = se = math.nan
+    z = None
+    if not underpowered:
+        if result is None:
+            grid = make_grid(T, grid_n)
+            result = simulate_martingale_batch(params, grid, seed, replicates)
+        sample = _functional(target).sample(result)
+        hits = np.sum(sample <= c) if approx.lower_tail else np.sum(sample >= c)
+        est = float(hits) / replicates
+        se = math.sqrt(max(est * (1.0 - est), 1e-300) / replicates)
+        z = (est - closed) / se if se > 0 else None
     return MCReport(
-        label=label,
+        label=f"{target} tail c={c} T={T}",
         estimate=est,
         std_error=se,
         replicates=replicates,
         closed_form=closed,
         z_score=z,
-        underpowered=False,
+        underpowered=underpowered,
         seed=seed,
     )
 
@@ -307,8 +298,11 @@ def gamma_contour_series(
 
     Returns ``sum_{k<=p} v_k / T^k`` with
     ``v_k = 2 pi i^ell sigma^{2k} f_{a,b}^{(2k+ell)}(1) /
-    (2^k k! gamma^{2k+ell+1})`` and ``b = gamma/(2 nu)``.
+    (2^k k! gamma^{2k+ell+1})`` and ``b = gamma/(2 nu)``. A negative ``p``
+    would truncate the series to nothing and is an error.
     """
+    if p < 0:
+        raise ValueError("p must be a nonnegative integer")
     b = gamma / (2.0 * nu)
     total = 0.0
     for k in range(p + 1):
@@ -344,6 +338,8 @@ def gamma_contour_oracle(
         raise ValueError("all of a, nu, gamma, sigma2, T must be positive")
     if ell < 0:
         raise ValueError("ell must be a nonnegative integer")
+    # the series rejects a negative p; take it before the quadrature runs
+    series = gamma_contour_series(a, nu, gamma, sigma2, T, ell, p)
     U = math.sqrt(2.0 * T * 16.0 * math.log(10.0) / sigma2)
 
     def envelope(u: float) -> complex:
@@ -368,7 +364,6 @@ def gamma_contour_oracle(
     err = max(e1, e2, e3, e4)
     if err > 1e-8:
         raise ArithmeticError(f"quadrature did not converge (errors {err:.1e})")
-    series = gamma_contour_series(a, nu, gamma, sigma2, T, ell, p)
     lhs = complex(re, im)
     # the exact integral is real for even ell and imaginary for odd ell
     if ell % 2 == 0:
@@ -415,7 +410,7 @@ def clt_test(
     if result is None:
         grid = make_grid(T, grid_n)
         result = simulate_martingale_batch(params, grid, seed, replicates)
-    e_sample, m_sample = clt_statistics(result, params, T)
+    e_sample, m_sample = clt_statistics(result, params)
     reports = []
     for label, sample in (("energy clt", e_sample), ("mle clt", m_sample)):
         stat = kstest(sample, "norm").statistic

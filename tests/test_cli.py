@@ -175,6 +175,19 @@ class TestSimulateCommand:
         assert list(rows[0].keys()) == ["t", "M", "Y", "Q", "S"]
         assert len(rows) == 151
 
+    @pytest.mark.parametrize("replicates", ["0", "-2"])
+    @pytest.mark.parametrize("dump", [[], ["--dump-paths"]], ids=["batch", "dump-paths"])
+    def test_no_replicates_is_invalid(self, replicates, dump, tmp_path, capsys):
+        # both paths refuse; a dump loop over no replicate would write nothing
+        code = _run(
+            ["simulate", "--theta", "-1", "--hurst", "0.75", "--T", "5",
+             "--grid-n", "150", "--replicates", replicates,
+             "--out", str(tmp_path / "summary.csv"), *dump]
+        )
+        assert code == cli.EXIT_INVALID
+        assert "replicates must be >= 1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestMcCommand:
     def test_underpowered_row(self, capsys, monkeypatch):
@@ -268,6 +281,13 @@ class TestOracleCommand:
         assert _header(out) == ORACLE_HEADER
         row = _rows(out)[0]
         assert float(row["rel_err"]) < 1e-3
+
+    @pytest.mark.parametrize("flag", ["--p", "--ell"])
+    def test_gamma_contour_negative_order_is_invalid(self, flag, capsys):
+        code = _run(["oracle", "--kind", "gamma-contour", flag, "-1"])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INVALID
+        assert f"{flag[2:]} must be a nonnegative integer" in err
 
     def test_bessel_against_mpmath(self, capsys):
         # 40 arguments in [0.01, 500] times 4 orders, each to the accuracy

@@ -75,6 +75,24 @@ class TestDomain:
         dom2 = mle_domain(P, c + 0.01)
         assert dom2.right_is_variance_zero
 
+    @pytest.mark.parametrize("theta", [-0.001, -0.3, -1.0, -3.0, -5.0])
+    @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.9, 0.99])
+    def test_right_end_keeps_l_real_near_theta_half(self, theta, hurst):
+        # near c = theta/2, a_2 lies within a few ulps of the zero of L's
+        # square root, and its quadratic formula can round past it
+        q = ModelParams(theta=theta, hurst=hurst)
+        levels = [theta / 2.0]
+        for _ in range(8):
+            levels.append(math.nextafter(levels[-1], -math.inf))
+        up = theta / 2.0
+        for _ in range(8):
+            up = math.nextafter(up, math.inf)
+            levels.append(up)
+        for c in levels:
+            dom = mle_domain(q, c)
+            assert math.isfinite(mle_l(q, dom.a_right, c)), f"c={c!r}"
+            assert dom.a_right == pytest.approx(2.0 * (c - theta), rel=1e-12)
+
     def test_a_up_example(self):
         assert mle_domain(P, 0.0).a_right == pytest.approx(2.0, rel=1e-15)
 

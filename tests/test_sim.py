@@ -24,7 +24,6 @@ from fousldp.sim import (
     kernel_weight_matrix,
     make_grid,
     simulate_fbm_batch,
-    simulate_fbm_oracle,
     simulate_martingale_batch,
     simulate_martingale_path,
 )
@@ -95,8 +94,7 @@ def _digest(*arrays):
 
 def _reference_fbm_chunk(params, grid, z):
     """The physical route stepped per chunk: ``dW = chol z``, the Euler
-    loop, ``Y = weights dX`` and ``_oracle_from_dy``; returns
-    ``(dW, Y, Q, S, num)``."""
+    loop, ``Y = weights dX`` and ``_oracle_from_dy``; returns ``(S, num)``."""
     chol = fbm_increment_cholesky(params.hurst, grid)
     weights = kernel_weight_matrix(params, grid)
     n, m = z.shape
@@ -109,8 +107,7 @@ def _reference_fbm_chunk(params, grid, z):
         dX[i] = Xn - X
         X = Xn
     Y = weights @ dX
-    Q, S, num = _oracle_from_dy(params, grid, Y)
-    return dW, Y, Q, S, num
+    return _oracle_from_dy(params, grid, Y)
 
 
 def _max_rel(a, b):
@@ -164,10 +161,11 @@ class TestReproducibility:
         b = simulate_martingale_path(P, g, RngSpec(seed=123, stream_id=1))
         assert not np.array_equal(a.M, b.M)
 
-    def test_batch_bit_identical_and_chunk_invariant_layout(self):
+    def test_batch_bit_identical_and_chunk_invariant_layout(self, monkeypatch):
+        monkeypatch.setattr(sim, "BATCH_CHUNK", 64)
         g = make_grid(10.0, 200)
-        r1 = simulate_martingale_batch(P, g, seed=5, replicates=300, chunk=64)
-        r2 = simulate_martingale_batch(P, g, seed=5, replicates=300, chunk=64)
+        r1 = simulate_martingale_batch(P, g, seed=5, replicates=300)
+        r2 = simulate_martingale_batch(P, g, seed=5, replicates=300)
         assert np.array_equal(r1.s_terminal, r2.s_terminal)
         assert np.array_equal(r1.theta_hat, r2.theta_hat)
 
@@ -185,9 +183,12 @@ class TestReproducibility:
              "f4057fdbb8bf69c9035152c2aff90a7ae057eccec7cf203c3c4105d25482b35f"),
         ],
     )
-    def test_batch_golden_digest(self, T, n, seed, replicates, chunk, digest):
-        kw = {} if chunk is None else {"chunk": chunk}
-        r = simulate_martingale_batch(P, make_grid(T, n), seed, replicates, **kw)
+    def test_batch_golden_digest(
+        self, T, n, seed, replicates, chunk, digest, monkeypatch
+    ):
+        if chunk is not None:
+            monkeypatch.setattr(sim, "BATCH_CHUNK", chunk)
+        r = simulate_martingale_batch(P, make_grid(T, n), seed, replicates)
         assert _digest(r.s_terminal, r.theta_hat) == digest
 
     def test_path_golden_digest(self):
@@ -203,7 +204,8 @@ class TestReproducibility:
         monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
         g = make_grid(10.0, 200)
         seed, replicates, chunk = 11, 700, 128
-        r = simulate_martingale_batch(P, g, seed, replicates, chunk=chunk)
+        monkeypatch.setattr(sim, "BATCH_CHUNK", chunk)
+        r = simulate_martingale_batch(P, g, seed, replicates)
         s_parts, th_parts = [], []
         for k, lo in enumerate(range(0, replicates, chunk)):
             gen = RngSpec(seed=seed, stream_id=k).generator()
@@ -220,13 +222,14 @@ class TestReproducibility:
         monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
         g = make_grid(10.0, 512)
         seed, replicates, chunk = 13, 700, 128
-        r = simulate_fbm_batch(P, g, seed, replicates, chunk=chunk)
+        monkeypatch.setattr(sim, "_FBM_CHUNK", chunk)
+        r = simulate_fbm_batch(P, g, seed, replicates)
         K = _fbm_map(P, g)
         s_parts, th_parts = [], []
         for k, lo in enumerate(range(0, replicates, chunk)):
             gen = RngSpec(seed=seed, stream_id=k).generator()
             z = gen.standard_normal((g.n_intervals, min(chunk, replicates - lo)))
-            _, S, num = _oracle_from_dy(P, g, _whiten(K, z))
+            S, num = _oracle_from_dy(P, g, _whiten(K, z))
             s_parts.append(S)
             th_parts.append(num / S)
         assert np.array_equal(r.s_terminal, np.concatenate(s_parts))
@@ -361,12 +364,6 @@ class TestFbmRoute:
         rel = np.abs(var_y[mask] - target[mask]) / target[mask]
         assert np.max(rel) < 0.02
 
-    def test_single_path_shape(self):
-        g = make_grid(5.0, 128)
-        p = simulate_fbm_oracle(P, g, RngSpec(seed=1, stream_id=0))
-        assert p.Y.size == 129
-        assert np.all(np.diff(p.S) >= 0)
-
     def test_h_near_half_matches_standard_ou(self):
         # at H = 0.5001 the fBM is numerically a Brownian motion and X is a
         # standard OU path: compare variance of X_T against the closed form
@@ -386,43 +383,20 @@ class TestFbmRoute:
         assert stat < crit
 
     @pytest.mark.parametrize("T, n, replicates", [(5.0, 128, 64), (10.0, 512, 700)])
-    def test_batch_matches_per_step_reference(self, T, n, replicates):
+    def test_batch_matches_per_step_reference(self, T, n, replicates, monkeypatch):
         # 700 paths in chunks of 256 end on a partial chunk
+        monkeypatch.setattr(sim, "_FBM_CHUNK", 256)
         g = make_grid(T, n)
-        r = simulate_fbm_batch(P, g, seed=13, replicates=replicates, chunk=256)
+        r = simulate_fbm_batch(P, g, seed=13, replicates=replicates)
         s_parts, th_parts = [], []
         for k, lo in enumerate(range(0, replicates, 256)):
             gen = RngSpec(seed=13, stream_id=k).generator()
             z = gen.standard_normal((n, min(256, replicates - lo)))
-            *_, S, num = _reference_fbm_chunk(P, g, z)
+            S, num = _reference_fbm_chunk(P, g, z)
             s_parts.append(S)
             th_parts.append(num / S)
         assert _max_rel(r.s_terminal, np.concatenate(s_parts)) <= 1e-12
         assert _max_rel(r.theta_hat, np.concatenate(th_parts)) <= 1e-12
-
-    def test_oracle_matches_reference_path(self):
-        g = make_grid(5.0, 128)
-        rng = RngSpec(seed=21, stream_id=3)
-        p = simulate_fbm_oracle(P, g, rng)
-        z = rng.generator().standard_normal((g.n_intervals, 1))
-        dW, Y, Q, S, num = _reference_fbm_chunk(P, g, z)
-        dq = np.diff(g.nodes ** (2.0 - 2.0 * P.hurst)) / P.lambda_h
-        Qfull = np.concatenate(([0.0], Q[:, 0]))
-        S_path = np.concatenate(([0.0], np.cumsum(Qfull[:-1] ** 2 * dq)))
-        for got, ref in ((p.M, np.cumsum(dW[:, 0])), (p.Y, Y[:, 0]),
-                         (p.Q, Q[:, 0]), (p.S, S_path[1:])):
-            assert got[0] == 0.0
-            scale = np.max(np.abs(ref))
-            assert np.max(np.abs(got[-ref.size:] - ref)) <= 1e-12 * scale
-        assert p.s_terminal == pytest.approx(float(S[0]), rel=1e-12)
-        assert p.theta_hat == pytest.approx(float(num[0] / S[0]), rel=1e-12)
-
-    def test_oracle_is_a_one_path_batch(self):
-        g = make_grid(5.0, 128)
-        p = simulate_fbm_oracle(P, g, RngSpec(seed=8, stream_id=0))
-        r = simulate_fbm_batch(P, g, seed=8, replicates=1)
-        assert p.s_terminal == pytest.approx(float(r.s_terminal[0]), rel=1e-12)
-        assert p.theta_hat == pytest.approx(float(r.theta_hat[0]), rel=1e-12)
 
     def test_folded_map_is_lower_triangular(self):
         # the map is built in the factor's buffer, whose upper triangle
@@ -473,7 +447,7 @@ class TestCltStatistics:
     def test_standardization(self):
         g = make_grid(50.0, 1000)
         res = simulate_martingale_batch(P, g, seed=17, replicates=2000)
-        e, m = clt_statistics(res, P, 50.0)
+        e, m = clt_statistics(res, P)
         assert e.size == m.size == 2000
         assert abs(np.mean(e)) < 0.2
         assert 0.7 < np.std(e) < 1.3
@@ -483,4 +457,4 @@ class TestCltStatistics:
         g = make_grid(10.0, 200)
         res = simulate_martingale_batch(P, g, seed=1, replicates=100)
         with pytest.raises(ValueError):
-            clt_statistics(res, P, 10.0)
+            clt_statistics(res, P)

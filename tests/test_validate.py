@@ -164,6 +164,11 @@ class TestGammaContour:
             gamma_contour_oracle(-1.0, 0.5, 1.0, 1.0, 100.0)
         with pytest.raises(ValueError):
             gamma_contour_oracle(1.0, 0.5, 1.0, 1.0, 100.0, ell=-1)
+        # a negative p would truncate the series to nothing
+        with pytest.raises(ValueError, match="p must be"):
+            gamma_contour_oracle(1.0, 0.5, 1.0, 1.0, 100.0, p=-1)
+        with pytest.raises(ValueError, match="p must be"):
+            gamma_contour_series(1.0, 0.5, 1.0, 1.0, 100.0, ell=0, p=-1)
 
 
 class TestMcTail:
