@@ -55,7 +55,6 @@ from .special import (
     bessel_i,
     bessel_i_scaled,
     gamma_real,
-    log_r_h,
     r_h,
     r_h_coeffs,
     r_h_scaled,

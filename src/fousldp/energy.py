@@ -386,13 +386,6 @@ ENERGY = Functional(
 # ---------------------------------------------------------------------------
 
 
-def _lambda_t_deriv(params: ModelParams, a: float, T: float) -> float:
-    return (
-        energy_l_deriv(params, a, 1)
-        + (energy_h_deriv(params, a, 1) + energy_k_deriv(params, a, 1)) / T
-    )
-
-
 def _brentq(f, lo: float, hi: float, xtol: float, rtol: float, maxiter: int) -> float:
     """Root of ``f`` in ``[lo, hi]`` by Brent's method (Brent 1973, ch. 4).
 
@@ -451,9 +444,16 @@ def _brentq(f, lo: float, hi: float, xtol: float, rtol: float, maxiter: int) -> 
 def saddle_solve(params: ModelParams, c: float, T: float) -> SaddleSolution:
     """Solve the time-varying saddle equation for ``c >= c_star``.
 
-    The truncated-cumulant approximation ``L + (H + K)/T`` has a strictly
-    increasing derivative on the bracket, diverging at the boundary, so a
-    bracketed root always exists for levels at or beyond the threshold.
+    The equation ``L'(a) + (H'(a) + K'(a))/T = c`` of the truncated cumulant
+    approximation ``L + (H + K)/T`` is solved in ``s = A phi + B``, with
+    ``phi = sqrt(theta^2 - 2a)``, ``A = 2 + p_h`` and ``B = theta p_h``:
+    ``s`` is the distance to the pole of ``K'``, positive exactly when
+    ``a < a_h``. Beyond the threshold ``a_h - a_T`` is ``O(1/T)``, a few
+    ulps of ``a_h`` at large ``T``, while ``s_T`` keeps its relative
+    precision. In ``s`` each term has one sign: ``L' = 1/(2 phi)``,
+    ``H' = theta/(2 phi^2 (phi - theta))`` and ``K' = -B/(2 phi^2 s)``, so
+    the equation falls from ``+inf`` at ``s = 0+`` to ``-c`` and has a root
+    for levels at or beyond the threshold.
     """
     check_level_and_horizon(c, T)
     theta = params.theta
@@ -462,37 +462,37 @@ def saddle_solve(params: ModelParams, c: float, T: float) -> SaddleSolution:
     cs = c_star(params)
     if c < cs - boundary_tolerance(params, T):
         raise ValueError(f"saddle_solve requires c >= c_star ({cs:.6g}), got {c}")
-    hi = a_h - 1e-14
-    f = lambda a: _lambda_t_deriv(params, a, T) - c
-    # the derivative decreases to 0 as a -> -inf, so widening the bracket
-    # geometrically always captures the root eventually
-    width = min(1.0, theta**2 * d * d / 2.0)
-    lo = a_h - width
-    for _ in range(80):
-        if f(lo) <= 0:
-            break
-        width *= 2.0
-        lo = a_h - width
-    else:
-        raise ArithmeticError("bracket failure: saddle equation has no root below a_h")
-    a_T = _brentq(f, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200)
-    resid = f(a_T)
-    # Brent's method stops a few ulps from the root; where f is steep (hard
-    # levels at large T, about 1e-9 per ulp at T = 1e6) step to the float
-    # with the smallest residual; f increases in a
-    toward = math.inf if resid < 0 else -math.inf
-    for _ in range(4):
-        nxt = math.nextafter(a_T, toward)
-        r = f(nxt)
-        if not abs(r) < abs(resid):
-            break
-        a_T, resid = nxt, r
-    # past the bound, a_T still stands if its residual is no larger than
-    # the change of f across one ulp, to the neighbour the polish rejected
-    # (r is resid itself when the polish ran out of steps: nothing passes)
-    if abs(resid) > 1e-10 * max(1.0, abs(c)) and not abs(resid) <= abs(r - resid):
+    A = 2.0 + params.p_h
+    B = theta * params.p_h
+
+    def terms(s):
+        # L', H' and K' at phi = (s - B)/A
+        phi = (s - B) / A
+        return 0.5 / phi, theta / (2.0 * phi * phi * (phi - theta)), -B / (2.0 * phi * phi * s)
+
+    def f(s):
+        l1, h1, k1 = terms(s)
+        return l1 + (h1 + k1) / T - c
+
+    # at s = 0 phi is phi_0 = -theta d, where |H'| <= 1/(2 phi_0^2), and
+    # K' >= -B/(8 phi_0^2 s) for s <= -B: so f(lo) >= c + 1/(2 phi_0^2 T);
+    # at hi L' <= c/4 and K'/T <= c/4, so f(hi) <= -c/2
+    q = (theta * d) ** 2 * T
+    lo = -B / (16.0 * q * c + 8.0)
+    hi = 2.0 * max(A / c, -B / (q * c))
+    if not lo > 0:
+        raise ArithmeticError(f"saddlepoint lies closer to a_h than a float resolves at T={T}")
+    # s_T falls like 1/T, so the tolerance is relative alone (Brent's
+    # method, like scipy's, takes a positive xtol)
+    s_T = _brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+    l1, h1, k1 = terms(s_T)
+    resid = l1 + (h1 + k1) / T - c
+    if not abs(resid) <= 1e-10 * max(1.0, c, abs(l1), abs(h1) / T, abs(k1) / T):
         raise ArithmeticError(f"saddle residual {resid:.3e} exceeds tolerance")
-    phi_T = energy_phi(params, a_T)
+    phi_T = (s_T - B) / A
+    a_T = (theta**2 - phi_T**2) / 2.0
+    if not a_T < a_h:
+        raise ArithmeticError(f"saddlepoint a_T = {a_T!r} rounds to the domain end a_h = {a_h!r}")
     s = params.sin_pi_h
     g = 1.0 + 2.0 * theta * c * d
     if abs(c - cs) <= boundary_tolerance(params, T):

@@ -41,7 +41,6 @@ __all__ = [
     "bessel_i_scaled",
     "r_h",
     "r_h_scaled",
-    "log_r_h",
     "r_h_coeffs",
     "RHExpansion",
 ]
@@ -124,17 +123,12 @@ def r_h(hurst: float, z: float) -> float:
     Raises
     ------
     OverflowError
-        If the unscaled value exceeds the double range; use :func:`log_r_h`.
+        If the unscaled value exceeds the double range; use :func:`r_h_scaled`.
     """
     scaled = r_h_scaled(hurst, z)
     if 2.0 * z + math.log(scaled) > 709.0:
-        raise OverflowError(f"r_h overflows for z={z}; use log_r_h instead")
+        raise OverflowError(f"r_h overflows for z={z}; use r_h_scaled instead")
     return scaled * math.exp(2.0 * z)
-
-
-def log_r_h(hurst: float, z: float) -> float:
-    """``log r_H(z)``, valid for arbitrarily large ``z``."""
-    return 2.0 * z + math.log(r_h_scaled(hurst, z))
 
 
 @dataclass(frozen=True)

@@ -243,8 +243,9 @@ def legendre_oracle(params: ModelParams, target: str, c: float) -> OracleReport:
     boundary maximizer.
     """
     functional = _functional(target)
-    lo, hi, obj = functional.legendre(params, c)
+    # the rate checks the level before the Legendre problem is built on it
     closed = functional.rate(params, c)
+    lo, hi, obj = functional.legendre(params, c)
     # stop at a 1e-12 bracket, which cannot narrow below a few ulps of its
     # end points
     tol = 1e-12 + 4.0 * math.ulp(max(abs(lo), abs(hi)))
@@ -334,8 +335,8 @@ def gamma_contour_oracle(
     """
     from scipy.integrate import quad
 
-    if min(a, nu, gamma, sigma2, T) <= 0:
-        raise ValueError("all of a, nu, gamma, sigma2, T must be positive")
+    if not all(0 < x < math.inf for x in (a, nu, gamma, sigma2, T)):
+        raise ValueError("all of a, nu, gamma, sigma2, T must be finite and positive")
     if ell < 0:
         raise ValueError("ell must be a nonnegative integer")
     # the series rejects a negative p; take it before the quadrature runs

@@ -289,6 +289,15 @@ class TestOracleCommand:
         assert code == cli.EXIT_INVALID
         assert f"{flag[2:]} must be a nonnegative integer" in err
 
+    @pytest.mark.parametrize("flag", ["--shape", "--nu", "--gamma-freq", "--sigma2", "--T"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_gamma_contour_non_finite_is_invalid(self, flag, value, capsys):
+        code = _run(["oracle", "--kind", "gamma-contour", flag, value])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INVALID
+        assert "finite and positive" in captured.err
+        assert captured.out == ""
+
     def test_bessel_against_mpmath(self, capsys):
         # 40 arguments in [0.01, 500] times 4 orders, each to the accuracy
         # that bessel_i documents
@@ -379,6 +388,12 @@ class TestExitCodes:
         (["saddle", "--c", "inf"], "c"),
         (["tail", "--target", "mle", "--c", "inf"], "c"),
         (["rate", "--target", "energy", "--c=-1", "--T", "0"], "T"),
+        (["oracle", "--kind", "legendre", "--target", "energy", "--c", "nan"], "c"),
+        (["oracle", "--kind", "legendre", "--target", "energy", "--c", "inf"], "c"),
+        (["oracle", "--kind", "legendre", "--target", "mle", "--c", "nan"], "c"),
+        (["oracle", "--kind", "legendre", "--target", "mle", "--c", "inf"], "c"),
+        (["simulate", "--T", "inf"], "T"),
+        (["clt", "--T", "inf"], "T"),
     ])
     def test_bad_level_or_horizon_is_invalid(self, argv, name, capsys):
         code = _run(argv + ["--theta", "-1", "--hurst", "0.75"])

@@ -15,6 +15,7 @@ from exact_law import (
 from fousldp import energy
 from fousldp.energy import (
     EnergyBranch,
+    boundary_tolerance,
     c_star,
     classify_branch,
     energy_h_deriv,
@@ -292,6 +293,22 @@ class TestOrder1:
         assert val > 0
 
 
+def saddle_phi_mp(mp, p, c, T):
+    """``phi_T`` of the saddle equation, by bisection in ``log s`` at mpmath's precision."""
+    th, ph = mp.mpf(p.theta), mp.mpf(p.p_h)
+    A, B = 2 + ph, th * ph
+
+    def f(s):
+        phi = (s - B) / A
+        return 1 / (2 * phi) + (th / (2 * phi**2 * (phi - th)) - B / (2 * phi**2 * s)) / T - c
+
+    lo, hi = mp.mpf("1e-30"), mp.mpf(1000)
+    while hi / lo - 1 > mp.mpf("1e-40"):
+        mid = mp.sqrt(lo * hi)
+        lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
+    return (lo - B) / A
+
+
 class TestSaddle:
     def test_saddle_satisfies_equation(self):
         for c in (c_star(P), 4.0, 8.0):
@@ -343,27 +360,55 @@ class TestSaddle:
         with pytest.raises(ValueError):
             saddle_solve(P, 0.7, 100.0)
 
-    @pytest.mark.parametrize(
-        "theta, hurst, level, T",
-        [
-            (-1.0, 0.75, lambda p: 8.0, 1e6),
-            (-5.0, 0.55, lambda p: 2.0 * c_star(p), 1e4),
-        ],
-        ids=["c=8,T=1e6", "c=2c*,T=1e4"],
-    )
-    def test_deep_hard_level_within_one_ulp(self, theta, hurst, level, T):
-        # the residual exceeds 1e-10 max(1, c), but the saddle equation
-        # changes sign between a_T and one of its neighbours, so no float
-        # does better than one ulp's change of f
-        p = ModelParams(theta, hurst)
-        c = level(p)
-        sol = saddle_solve(p, c, T)
-        f = lambda a: energy._lambda_t_deriv(p, a, T) - c
-        r = f(sol.a_T)
-        assert abs(r) > 1e-10 * max(1.0, c)
-        neighbours = [f(math.nextafter(sol.a_T, s)) for s in (-math.inf, math.inf)]
-        assert any(r * rn <= 0 for rn in neighbours)
-        assert sol.a_T < p.a_h
+    def test_solves_every_input_of_the_sweep(self):
+        # 2940 inputs from c* to 20 c* and T from 10 to 1e6, plus two deep
+        # hard levels where a_T lies a few ulps below a_h
+        inputs = [(-1.0, 0.75, lambda p: 8.0, 1e6), (-5.0, 0.55, lambda p: 2.0 * c_star(p), 1e4)]
+        for theta in (-0.3, -0.5, -1.0, -2.0, -5.0):
+            for hurst in (0.51, 0.55, 0.6, 0.75, 0.9, 0.99):
+                for ratio in (1.0, 1.0001, 1.1, 1.5, 2.0, 5.0, 20.0):
+                    for k in range(14):
+                        level = lambda p, r=ratio: r * c_star(p)
+                        inputs.append((theta, hurst, level, 10.0 * 1e5 ** (k / 13)))
+        for theta, hurst, level, T in inputs:
+            p = ModelParams(theta, hurst)
+            sol = saddle_solve(p, level(p), T)
+            assert sol.a_T < p.a_h
+            assert sol.phi_T**2 + 2.0 * sol.a_T == pytest.approx(theta**2, rel=1e-14)
+
+    def test_phi_matches_a_50_digit_root(self):
+        # near H = 1/2 delta_h is small and a_T sits ulps below a_h, yet
+        # phi_T keeps full relative precision
+        mp = pytest.importorskip("mpmath")
+        for theta in (-0.3, -1.0, -5.0):
+            p = ModelParams(theta, 0.51)
+            for ratio in (1.0001, 2.0, 20.0):
+                c = ratio * c_star(p)
+                for T in (100.0, 1e4, 4e5):
+                    with mp.workdps(50):
+                        ref = saddle_phi_mp(mp, p, c, T)
+                    assert float(abs(saddle_solve(p, c, T).phi_T / ref - 1)) < 1e-14
+
+    def test_extreme_levels_and_horizons(self):
+        # where a_T rounds to a_h, or s_T is too small for Brent's method to
+        # reach, the refusal is an ArithmeticError; below c* beyond the
+        # boundary window it is a ValueError
+        for theta, hurst in ((-1.0, 0.75), (-0.3, 0.51), (-5.0, 0.99), (-0.001, 0.6)):
+            p = ModelParams(theta, hurst)
+            for ratio in (0.99999999, 1.0, 1.0001, 2.0, 1e6):
+                c = ratio * c_star(p)
+                for T in (1e-3, 0.1, 1.0, 1e8, 1e12, 1e15, 1e100, 1e300, 1e308):
+                    if c < c_star(p) - boundary_tolerance(p, T):
+                        with pytest.raises(ValueError):
+                            saddle_solve(p, c, T)
+                        continue
+                    try:
+                        sol = saddle_solve(p, c, T)
+                    except ArithmeticError:
+                        assert T > 1e8
+                        continue
+                    assert sol.a_T < p.a_h
+                    assert math.isfinite(sol.phi_T)
 
     def test_brentq_returns_the_float_scipy_returns(self, monkeypatch):
         # on the brackets saddle_solve builds, the transcription of Brent's
@@ -384,12 +429,7 @@ class TestSaddle:
                 p = ModelParams(theta, hurst)
                 for ratio in (1.0, 1.0001, 1.1, 2.0, 5.0):
                     for T in (10.0, 100.0, 1e3, 1e4):
-                        try:
-                            saddle_solve(p, ratio * c_star(p), T)
-                        except ArithmeticError:
-                            # the residual check after the root refuses
-                            # some deep hard levels; the root was compared
-                            pass
+                        saddle_solve(p, ratio * c_star(p), T)
         assert len(pairs) == 320
         assert [x for x, ref in pairs if x != ref] == []
 

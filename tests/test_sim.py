@@ -130,6 +130,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             make_grid(-1.0, 500)
 
+    @pytest.mark.parametrize("T", [math.inf, math.nan])
+    def test_non_finite_horizon_rejected(self, T):
+        with pytest.raises(ValueError, match="T must be finite"):
+            make_grid(T, 500)
+
     def test_geometric_phase_bounded(self):
         # at most half the intervals may be spent on the geometric ramp
         for n in (100, 500, 4000):

@@ -10,7 +10,6 @@ from fousldp.special import (
     bessel_i,
     bessel_i_scaled,
     gamma_real,
-    log_r_h,
     r_h,
     r_h_coeffs,
     r_h_scaled,
@@ -177,11 +176,6 @@ class TestRH:
         assert r1 == pytest.approx(-1.0 / 16.0, abs=1e-15)
         assert r2 == pytest.approx(-15.0 / 512.0, abs=1e-15)
         assert r_h_coeffs(0.5, 2).coefficients == (0.0, 0.0)
-
-    def test_log_form_matches(self):
-        for z in (1.0, 300.0, 2e4):
-            lhs = log_r_h(0.75, z)
-            assert lhs == pytest.approx(2.0 * z + math.log(r_h_scaled(0.75, z)), rel=1e-14)
 
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):

@@ -81,6 +81,13 @@ class TestLegendreOracle:
         with pytest.raises(ValueError):
             legendre_oracle(P, "drift", 0.5)
 
+    @pytest.mark.parametrize("target", ["energy", "mle"])
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_level_rejected(self, target, c):
+        # the rate checks the level before the Legendre bracket is built
+        with pytest.raises(ValueError, match="c must be finite"):
+            legendre_oracle(P, target, c)
+
 
 class TestGammaDensityDeriv:
     def test_density_itself(self):
@@ -169,6 +176,14 @@ class TestGammaContour:
             gamma_contour_oracle(1.0, 0.5, 1.0, 1.0, 100.0, p=-1)
         with pytest.raises(ValueError, match="p must be"):
             gamma_contour_series(1.0, 0.5, 1.0, 1.0, 100.0, ell=0, p=-1)
+
+    @pytest.mark.parametrize("position", range(5))
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_arguments_rejected(self, position, value):
+        args = [1.0, 0.5, 1.0, 1.0, 100.0]
+        args[position] = value
+        with pytest.raises(ValueError, match="finite and positive"):
+            gamma_contour_oracle(*args)
 
 
 class TestMcTail:
