@@ -376,6 +376,29 @@ class TestSaddle:
             assert sol.a_T < p.a_h
             assert sol.phi_T**2 + 2.0 * sol.a_T == pytest.approx(theta**2, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "theta, hurst, level, T",
+        [
+            (-1.0, 0.75, lambda p: 8.0, 1e6),
+            (-5.0, 0.55, lambda p: 2.0 * c_star(p), 1e4),
+        ],
+        ids=["c=8,T=1e6", "c=2c*,T=1e4"],
+    )
+    def test_deep_hard_level_within_one_ulp(self, theta, hurst, level, T):
+        # at these levels the saddle equation in a has a residual above
+        # 1e-10 max(1, c) at every float; a_T is still within one ulp of the
+        # 50-digit root
+        mp = pytest.importorskip("mpmath")
+        p = ModelParams(theta, hurst)
+        c = level(p)
+        sol = saddle_solve(p, c, T)
+        with mp.workdps(50):
+            phi = saddle_phi_mp(mp, p, c, T)
+            a_ref = (mp.mpf(theta) ** 2 - phi**2) / 2
+            err = abs(mp.mpf(sol.a_T) - a_ref)
+        assert float(err) <= math.ulp(sol.a_T)
+        assert sol.a_T < p.a_h
+
     def test_phi_matches_a_50_digit_root(self):
         # near H = 1/2 delta_h is small and a_T sits ulps below a_h, yet
         # phi_T keeps full relative precision
