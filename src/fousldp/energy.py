@@ -129,8 +129,11 @@ def c_star(params: ModelParams) -> float:
 
 
 def boundary_tolerance(params: ModelParams, T: float) -> float:
-    # the T^{1/4} regime governs a window of width O(1/T) around c_star
-    return max(1e-8, 1.0 / (T * abs(2.0 * params.theta * params.delta_h) * 10.0))
+    # the T^{1/4} regime governs a window of width O(1/T) around c_star; it
+    # reaches at most halfway down to the mean -1/(2 theta), so no short
+    # horizon labels a lower-tail level BOUNDARY
+    half_gap = (c_star(params) + 1.0 / (2.0 * params.theta)) / 2.0
+    return min(max(1e-8, 1.0 / (T * abs(2.0 * params.theta * params.delta_h) * 10.0)), half_gap)
 
 
 def rate_energy(params: ModelParams, c: float) -> float:
@@ -386,59 +389,29 @@ ENERGY = Functional(
 # ---------------------------------------------------------------------------
 
 
-def _brentq(f, lo: float, hi: float, xtol: float, rtol: float, maxiter: int) -> float:
-    """Root of ``f`` in ``[lo, hi]`` by Brent's method (Brent 1973, ch. 4).
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of ``f`` in ``[lo, hi]``, ``0 < lo < hi``, by bisection.
 
-    A line-for-line transcription of the C loop behind
-    ``scipy.optimize.brentq``, so it returns the same float for the same
-    arguments without the half second that importing ``scipy.optimize``
-    costs. A bracket without a sign change, or no convergence within
-    ``maxiter`` steps, raises ``ArithmeticError``.
+    Needs ``f(lo) > 0 > f(hi)``, else raises ``ArithmeticError``. The
+    midpoint is geometric while ``hi > 2 lo``, so a bracket of any number
+    of decades shrinks in a few steps, and arithmetic after that, until
+    ``lo`` and ``hi`` are adjacent floats or ``f`` is 0. Returns the end
+    with the smaller ``|f|``.
     """
-    xpre, xcur = lo, hi
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+    f_lo, f_hi = f(lo), f(hi)
+    if not f_lo > 0 > f_hi:
         raise ArithmeticError(f"no sign change of f on [{lo!r}, {hi!r}]")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        # the tolerance is 2 delta
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    while True:
+        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else (lo + hi) / 2.0
+        if not lo < mid < hi:
+            return lo if abs(f_lo) <= abs(f_hi) else hi
+        f_mid = f(mid)
+        if f_mid == 0:
+            return mid
+        if f_mid > 0:
+            lo, f_lo = mid, f_mid
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise ArithmeticError(f"Brent's method did not converge in {maxiter} steps")
+            hi, f_hi = mid, f_mid
 
 
 def saddle_solve(params: ModelParams, c: float, T: float) -> SaddleSolution:
@@ -454,6 +427,13 @@ def saddle_solve(params: ModelParams, c: float, T: float) -> SaddleSolution:
     ``H' = theta/(2 phi^2 (phi - theta))`` and ``K' = -B/(2 phi^2 s)``, so
     the equation falls from ``+inf`` at ``s = 0+`` to ``-c`` and has a root
     for levels at or beyond the threshold.
+
+    ``s_T`` is found by bisection (``_bisect``), in ``log s`` while the
+    bracket spans more than a factor of two, down to adjacent floats: no
+    tolerance and no step limit. ``ArithmeticError`` names each refusal: a
+    bracket that underflows, a residual above its bound, or an ``a_T``
+    that rounds to ``a_h``. A level below the boundary window around
+    ``c_star`` is a ``ValueError``.
     """
     check_level_and_horizon(c, T)
     theta = params.theta
@@ -482,9 +462,7 @@ def saddle_solve(params: ModelParams, c: float, T: float) -> SaddleSolution:
     hi = 2.0 * max(A / c, -B / (q * c))
     if not lo > 0:
         raise ArithmeticError(f"saddlepoint lies closer to a_h than a float resolves at T={T}")
-    # s_T falls like 1/T, so the tolerance is relative alone (Brent's
-    # method, like scipy's, takes a positive xtol)
-    s_T = _brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+    s_T = _bisect(f, lo, hi)
     l1, h1, k1 = terms(s_T)
     resid = l1 + (h1 + k1) / T - c
     if not abs(resid) <= 1e-10 * max(1.0, c, abs(l1), abs(h1) / T, abs(k1) / T):

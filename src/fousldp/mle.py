@@ -81,7 +81,8 @@ def rate_mle(params: ModelParams, c: float) -> float:
 
 
 def boundary_tolerance_mle(params: ModelParams, T: float) -> float:
-    return max(1e-8, 1.0 / (T * abs(params.theta) * 10.0))
+    # the windows around theta/3 and 0 reach at most halfway to each other
+    return min(max(1e-8, 1.0 / (T * abs(params.theta) * 10.0)), abs(params.theta) / 6.0)
 
 
 def classify_mle(params: ModelParams, c: float, T: float) -> MleBranch:

@@ -159,11 +159,16 @@ class SimPath:
 
 @dataclass(frozen=True)
 class BatchResult:
-    """Terminal statistics of a batch of independent paths."""
+    """Terminal statistics of a batch of independent paths.
+
+    ``seed`` is the seed the batch was drawn from, or ``None`` for a batch
+    put together by hand.
+    """
 
     s_terminal: np.ndarray
     theta_hat: np.ndarray
     grid: TimeGrid = field(repr=False)
+    seed: int | None = None
 
     @property
     def replicates(self) -> int:
@@ -348,6 +353,7 @@ def _run_chunks(
         s_terminal=np.concatenate(s_parts),
         theta_hat=np.concatenate(th_parts),
         grid=grid,
+        seed=seed,
     )
 
 

@@ -119,14 +119,17 @@ def ks_critical_value(n: int, level: float) -> float:
     raise ValueError(f"unsupported level {level}; use 0.01 or 0.05")
 
 
-def _check_batch(result: BatchResult, replicates: int, T: float) -> None:
-    # a batch of another size or horizon would be read as the one asked for
+def _check_batch(result: BatchResult, replicates: int, T: float, seed: int) -> None:
+    # a batch of another size, horizon or seed would be read as the one
+    # asked for; a batch put together by hand records no seed
     if result.replicates != replicates:
         raise ValueError(
             f"result holds {result.replicates} paths, not replicates={replicates}"
         )
     if result.grid.T != T:
         raise ValueError(f"result was drawn at horizon T={result.grid.T}, not T={T}")
+    if result.seed is not None and result.seed != seed:
+        raise ValueError(f"result was drawn at seed={result.seed}, not seed={seed}")
 
 
 def _mc_closed_form(
@@ -167,12 +170,12 @@ def mc_tail(
     on the lower branch) or ``"mle"`` (event ``{theta_hat >= c}``, or
     ``{theta_hat <= c}`` for ``c < theta``). A precomputed ``result`` of
     ``replicates`` paths from the same (seed, grid) may be passed to
-    amortize simulation across several thresholds; one of another size or
-    drawn at another horizon is an error. ``with_order1`` applies to the
-    energy only; it is an error for the estimator.
+    amortize simulation across several thresholds; one of another size, or
+    drawn at another horizon or seed, is an error. ``with_order1`` applies
+    to the energy only; it is an error for the estimator.
     """
     if result is not None:
-        _check_batch(result, replicates, T)
+        _check_batch(result, replicates, T, seed)
     approx, closed, underpowered = _mc_closed_form(
         params, target, c, T, replicates, with_order1
     )
@@ -400,12 +403,12 @@ def clt_test(
     """KS tests of the standardized energy and estimator samples vs N(0,1).
 
     A precomputed ``result`` must hold ``replicates`` paths drawn at the
-    horizon ``T``.
+    horizon ``T`` from ``seed``.
     """
     from scipy.stats import kstest
 
     if result is not None:
-        _check_batch(result, replicates, T)
+        _check_batch(result, replicates, T, seed)
     if replicates < 1000:
         raise ValueError("clt_test requires at least 1e3 replicates")
     if result is None:

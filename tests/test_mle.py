@@ -126,6 +126,17 @@ class TestClassify:
         assert classify_mle(P, 0.0, 100.0) is MleBranch.ZERO
         assert classify_mle(P, 0.5, 100.0) is MleBranch.HARD
 
+    @pytest.mark.parametrize("T", [1e-3, 0.1])
+    def test_short_horizon_windows_stay_apart(self, T):
+        # the boundary window around theta/3 and the zero window around 0
+        # reach at most halfway to each other, whatever the horizon
+        expect = [(-1.5, MleBranch.EASY, True), (-0.9, MleBranch.EASY, False),
+                  (-0.2, MleBranch.BOUNDARY, False), (0.0, MleBranch.ZERO, False),
+                  (0.2, MleBranch.HARD, False)]
+        for c, branch, lower in expect:
+            ta = tail_mle(P, c, T)
+            assert (ta.branch, ta.lower_tail) == (branch, lower), c
+
     @pytest.mark.parametrize("c, T, name", [
         (math.nan, 100.0, "c"), (math.inf, 100.0, "c"), (-math.inf, 100.0, "c"),
         (-0.6, 0.0, "T"), (-0.6, -1.0, "T"), (-0.6, math.nan, "T"), (-0.6, math.inf, "T"),

@@ -10,7 +10,7 @@ from scipy.stats import kstest
 from exact_law import energy_cdf
 from fousldp.energy import c_star
 from fousldp.model import ModelParams
-from fousldp.sim import make_grid, simulate_martingale_batch
+from fousldp.sim import BatchResult, make_grid, simulate_martingale_batch
 from fousldp.validate import (
     clt_test,
     gamma_contour_oracle,
@@ -221,6 +221,21 @@ class TestMcTail:
         with pytest.raises(ValueError, match="T=10.0, not T=40.0"):
             mc_tail(P, "energy", 0.6, 40.0, 10_000, seed=1, grid_n=4000, result=res)
 
+    def test_result_of_another_seed_is_rejected(self):
+        # the report would be labelled with a seed the batch was not drawn at
+        res = simulate_martingale_batch(P, make_grid(10.0, 200), seed=2, replicates=10_000)
+        assert res.seed == 2
+        with pytest.raises(ValueError, match="seed=2, not seed=7"):
+            mc_tail(P, "energy", 0.6, 10.0, 10_000, seed=7, result=res)
+        assert mc_tail(P, "energy", 0.6, 10.0, 10_000, seed=2, result=res).seed == 2
+
+    def test_batch_put_together_by_hand_records_no_seed(self):
+        res = simulate_martingale_batch(P, make_grid(10.0, 200), seed=2, replicates=10_000)
+        by_hand = BatchResult(res.s_terminal, res.theta_hat, res.grid)
+        assert by_hand.seed is None
+        rep = mc_tail(P, "energy", 0.6, 10.0, 10_000, seed=7, result=by_hand)
+        assert rep.estimate == mc_tail(P, "energy", 0.6, 10.0, 10_000, seed=2, result=res).estimate
+
     def test_replicate_floor(self):
         with pytest.raises(ValueError):
             mc_tail(P, "energy", 0.7, 40.0, 100, seed=1)
@@ -257,6 +272,11 @@ class TestCltTest:
         res = simulate_martingale_batch(P, make_grid(10.0, 200), seed=2, replicates=10_000)
         with pytest.raises(ValueError, match="10000 paths"):
             clt_test(P, 10.0, 50_000, seed=7, result=res)
+
+    def test_result_of_another_seed_is_rejected(self):
+        res = simulate_martingale_batch(P, make_grid(10.0, 200), seed=2, replicates=1000)
+        with pytest.raises(ValueError, match="seed=2, not seed=7"):
+            clt_test(P, 10.0, 1000, seed=7, result=res)
 
     def test_critical_values(self):
         assert ks_critical_value(100, 0.05) == pytest.approx(0.1358, rel=1e-12)
