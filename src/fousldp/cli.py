@@ -175,12 +175,19 @@ def _cmd_saddle(args) -> int:
     return EXIT_OK
 
 
+def _draw_batch(args, params: ModelParams):
+    # the batch of simulate, mc and clt: --replicates paths to --T on a
+    # --grid-n grid, from --seed
+    grid = make_grid(args.T, args.grid_n)
+    return simulate_martingale_batch(params, grid, args.seed, args.replicates)
+
+
 def _cmd_simulate(args) -> int:
     params = _params(args)
-    grid = make_grid(args.T, args.grid_n)
-    if args.replicates < 1:
-        raise ValueError("replicates must be >= 1")
     if args.dump_paths:
+        grid = make_grid(args.T, args.grid_n)
+        if args.replicates < 1:
+            raise ValueError("replicates must be >= 1")
         rows = []
         for rep in range(args.replicates):
             path = simulate_martingale_path(params, grid, RngSpec(args.seed, rep))
@@ -194,7 +201,7 @@ def _cmd_simulate(args) -> int:
             )
         _emit(rows, args.out)
         return EXIT_OK
-    res = simulate_martingale_batch(params, grid, args.seed, args.replicates)
+    res = _draw_batch(args, params)
     rows = [
         {"replicate": i, "S_T": float(s), "theta_hat": float(th)}
         for i, (s, th) in enumerate(zip(res.s_terminal, res.theta_hat))
@@ -214,13 +221,10 @@ def _cmd_mc(args) -> int:
         )[2]
         for c in levels
     ]
-    result = None
-    if not all(underpowered):
-        grid = make_grid(args.T, args.grid_n)
-        result = simulate_martingale_batch(params, grid, args.seed, args.replicates)
+    result = None if all(underpowered) else _draw_batch(args, params)
     reports = [
         validate.mc_tail(params, args.target, c, args.T, args.replicates, args.seed,
-                         grid_n=args.grid_n, with_order1=args.order1, result=result)
+                         with_order1=args.order1, result=result)
         for c in levels
     ]
     _emit([asdict(r) for r in reports], args.out)
@@ -229,9 +233,8 @@ def _cmd_mc(args) -> int:
 
 def _cmd_clt(args) -> int:
     params = _params(args)
-    e_rep, m_rep = validate.clt_test(
-        params, args.T, args.replicates, args.seed, grid_n=args.grid_n
-    )
+    e_rep, m_rep = validate.clt_test(params, args.T, args.replicates, args.seed,
+                                     result=_draw_batch(args, params))
     rows = [
         {
             "label": r.label,

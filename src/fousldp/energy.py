@@ -61,7 +61,8 @@ class TailApprox:
     ``exp(-T * rate + log_prefactor) * T**t_power * (1 + order1/T)``
     with the last factor present only when an order-1 coefficient is
     available. ``lower_tail`` records the orientation of the half line
-    (True means the value approximates ``P(stat <= c)``).
+    (True means the value approximates ``P(stat <= c)``). It holds no
+    horizon: ``value`` and ``log_value`` take it.
     """
 
     rate: float
@@ -225,9 +226,7 @@ def _saddle_ac(params: ModelParams, c: float) -> float:
     return (4.0 * params.theta**2 * c * c - 1.0) / (8.0 * c * c)
 
 
-def tail_easy(
-    params: ModelParams, c: float, T: float, with_order1: bool = False
-) -> TailApprox:
+def tail_easy(params: ModelParams, c: float, with_order1: bool = False) -> TailApprox:
     """Interior-saddlepoint tail approximation (Gaussian 1/sqrt(T) regime).
 
     Covers the upper tail on ``(-1/(2 theta), c_star)`` and the lower tail
@@ -304,7 +303,7 @@ def order1_coeff_easy(params: ModelParams, c: float) -> float:
     return core / sig2 + kc1
 
 
-def tail_hard(params: ModelParams, c: float, T: float) -> TailApprox:
+def tail_hard(params: ModelParams, c: float) -> TailApprox:
     """Boundary-saddlepoint tail approximation for ``c > c_star``."""
     theta = params.theta
     d = params.delta_h
@@ -330,7 +329,7 @@ def tail_hard(params: ModelParams, c: float, T: float) -> TailApprox:
     )
 
 
-def tail_boundary(params: ModelParams, T: float) -> TailApprox:
+def tail_boundary(params: ModelParams) -> TailApprox:
     """Tail approximation exactly at the threshold: the T^(-1/4) law."""
     theta = params.theta
     d = params.delta_h
@@ -357,10 +356,10 @@ def tail_energy(
     """
     branch = classify_branch(params, c, T)
     if branch is EnergyBranch.BOUNDARY:
-        return tail_boundary(params, T)
+        return tail_boundary(params)
     if branch is EnergyBranch.HARD:
-        return tail_hard(params, c, T)
-    return tail_easy(params, c, T, with_order1=with_order1)
+        return tail_hard(params, c)
+    return tail_easy(params, c, with_order1=with_order1)
 
 
 def _energy_legendre(params: ModelParams, c: float):
@@ -426,33 +425,39 @@ def saddle_solve(params: ModelParams, c: float, T: float) -> SaddleSolution:
     precision. In ``s`` each term has one sign: ``L' = 1/(2 phi)``,
     ``H' = theta/(2 phi^2 (phi - theta))`` and ``K' = -B/(2 phi^2 s)``, so
     the equation falls from ``+inf`` at ``s = 0+`` to ``-c`` and has a root
-    for levels at or beyond the threshold.
+    for levels at or beyond the threshold. The two ``1/T`` terms are formed
+    as ``H'/T`` and ``K'/T = -B/(2 phi^2 (s T))``: ``s T`` stays moderate
+    where ``2 phi^2 s`` is subnormal and ``K'`` itself would overflow.
 
     ``s_T`` is found by bisection (``_bisect``), in ``log s`` while the
     bracket spans more than a factor of two, down to adjacent floats: no
     tolerance and no step limit. ``ArithmeticError`` names each refusal: a
-    bracket that underflows, a residual above its bound, or an ``a_T``
-    that rounds to ``a_h``. A level below the boundary window around
-    ``c_star`` is a ``ValueError``.
+    bracket that underflows, a residual above its bound (relative to the
+    largest of ``c``, ``L'``, ``H'/T`` and ``K'/T``), or an ``a_T`` that
+    rounds to ``a_h``. The level is classified once, by
+    ``classify_branch``: a ``BOUNDARY`` level gets the ``1/sqrtT``
+    coefficients, a ``HARD`` one the ``1/T`` ones, and any other positive
+    level is a ``ValueError``, as are the levels it rejects.
     """
-    check_level_and_horizon(c, T)
+    branch = classify_branch(params, c, T)
+    if branch not in (EnergyBranch.BOUNDARY, EnergyBranch.HARD):
+        raise ValueError(f"saddle_solve requires c >= c_star ({c_star(params):.6g}), got {c}")
     theta = params.theta
     d = params.delta_h
     a_h = params.a_h
-    cs = c_star(params)
-    if c < cs - boundary_tolerance(params, T):
-        raise ValueError(f"saddle_solve requires c >= c_star ({cs:.6g}), got {c}")
     A = 2.0 + params.p_h
     B = theta * params.p_h
 
     def terms(s):
-        # L', H' and K' at phi = (s - B)/A
+        # L', H'/T and K'/T at phi = (s - B)/A; K'/T divides by s T, since
+        # 2 phi^2 s is subnormal where a_T is a few ulps below a_h
         phi = (s - B) / A
-        return 0.5 / phi, theta / (2.0 * phi * phi * (phi - theta)), -B / (2.0 * phi * phi * s)
+        two_phi2 = 2.0 * phi * phi
+        return 0.5 / phi, theta / (two_phi2 * (phi - theta)) / T, -B / (two_phi2 * (s * T))
 
     def f(s):
         l1, h1, k1 = terms(s)
-        return l1 + (h1 + k1) / T - c
+        return l1 + (h1 + k1) - c
 
     # at s = 0 phi is phi_0 = -theta d, where |H'| <= 1/(2 phi_0^2), and
     # K' >= -B/(8 phi_0^2 s) for s <= -B: so f(lo) >= c + 1/(2 phi_0^2 T);
@@ -464,8 +469,8 @@ def saddle_solve(params: ModelParams, c: float, T: float) -> SaddleSolution:
         raise ArithmeticError(f"saddlepoint lies closer to a_h than a float resolves at T={T}")
     s_T = _bisect(f, lo, hi)
     l1, h1, k1 = terms(s_T)
-    resid = l1 + (h1 + k1) / T - c
-    if not abs(resid) <= 1e-10 * max(1.0, c, abs(l1), abs(h1) / T, abs(k1) / T):
+    resid = l1 + (h1 + k1) - c
+    if not abs(resid) <= 1e-10 * max(1.0, c, abs(l1), abs(h1), abs(k1)):
         raise ArithmeticError(f"saddle residual {resid:.3e} exceeds tolerance")
     phi_T = (s_T - B) / A
     a_T = (theta**2 - phi_T**2) / 2.0
@@ -473,7 +478,7 @@ def saddle_solve(params: ModelParams, c: float, T: float) -> SaddleSolution:
         raise ArithmeticError(f"saddlepoint a_T = {a_T!r} rounds to the domain end a_h = {a_h!r}")
     s = params.sin_pi_h
     g = 1.0 + 2.0 * theta * c * d
-    if abs(c - cs) <= boundary_tolerance(params, T):
+    if branch is EnergyBranch.BOUNDARY:
         a1 = -((-theta * d) ** 1.5)
         a2 = -theta * d / 4.0 * (1.0 + s)
         p1 = math.sqrt(-theta * d)

@@ -142,7 +142,7 @@ def _mle_saddle(params: ModelParams, c: float) -> float:
     return (c * c - params.theta**2) / (2.0 * c)
 
 
-def tail_mle_easy(params: ModelParams, c: float, T: float) -> TailApprox:
+def tail_mle_easy(params: ModelParams, c: float) -> TailApprox:
     """Interior-saddlepoint approximation of the estimator tail at ``c``.
 
     Valid for ``c < theta/3``. The approximated event is the upper tail
@@ -173,7 +173,7 @@ def tail_mle_easy(params: ModelParams, c: float, T: float) -> TailApprox:
     )
 
 
-def tail_mle_hard(params: ModelParams, c: float, T: float) -> TailApprox:
+def tail_mle_hard(params: ModelParams, c: float) -> TailApprox:
     """Boundary-saddlepoint approximation of ``P(theta_hat_T >= c)``.
 
     Valid for ``c > theta/3``, ``c != 0``. The saddlepoint sits at the
@@ -205,7 +205,7 @@ def tail_mle_hard(params: ModelParams, c: float, T: float) -> TailApprox:
     )
 
 
-def tail_mle_zero(params: ModelParams, T: float) -> TailApprox:
+def tail_mle_zero(params: ModelParams) -> TailApprox:
     """Closed-form approximation of the sign probability ``P(theta_hat_T >= 0)``.
 
     The rate is ``-theta`` and the prefactor carries an extra factor 2
@@ -224,7 +224,7 @@ def tail_mle_zero(params: ModelParams, T: float) -> TailApprox:
     )
 
 
-def tail_mle_boundary(params: ModelParams, T: float) -> TailApprox:
+def tail_mle_boundary(params: ModelParams) -> TailApprox:
     """Approximation of ``P(theta_hat_T >= theta/3)``: the ``T^(-1/4)`` law."""
     theta = params.theta
     a_b = -4.0 * theta / 3.0
@@ -257,12 +257,12 @@ def tail_mle(
         raise ValueError("the order-1 correction is available for the energy tail only")
     branch = classify_mle(params, c, T)
     if branch is MleBranch.EASY:
-        return tail_mle_easy(params, c, T)
+        return tail_mle_easy(params, c)
     if branch is MleBranch.BOUNDARY:
-        return tail_mle_boundary(params, T)
+        return tail_mle_boundary(params)
     if branch is MleBranch.ZERO:
-        return tail_mle_zero(params, T)
-    return tail_mle_hard(params, c, T)
+        return tail_mle_zero(params)
+    return tail_mle_hard(params, c)
 
 
 def _mle_legendre(params: ModelParams, c: float):

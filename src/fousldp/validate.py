@@ -3,17 +3,21 @@ r"""Validation harness: Monte Carlo comparisons and numerical oracles.
 Four independent families of checks tie the closed-form machinery to
 ground truth obtained by entirely different means:
 
-* ``mc_tail`` estimates a tail probability by simulation and compares it
-  to the branch-appropriate sharp approximation (z-score with binomial
-  standard error, with an honesty flag when the event is too rare for the
-  replicate budget);
+* ``mc_tail`` estimates a tail probability from a batch of simulated paths
+  and compares it to the branch-appropriate sharp approximation (z-score
+  with binomial standard error, with an honesty flag when the event is too
+  rare for the replicate budget);
 * ``legendre_oracle`` recomputes the rate functions as numerical
   Fenchel-Legendre transforms of the limiting cumulant generating
   function, making the non-steepness (boundary maximizer) visible;
 * ``gamma_contour_oracle`` checks the oscillatory-integral expansion
   used by the boundary-regime analysis against adaptive quadrature;
 * ``clt_test`` runs Kolmogorov-Smirnov tests of the standardized central
-  limit statistics against the standard normal law.
+  limit statistics of a batch against the standard normal law.
+
+The harness judges batches and draws none: the caller draws a batch in
+``sim`` and passes it as ``result``, beside the horizon, size and seed it
+was drawn at, which are checked against it.
 
 scipy is slow to import, so each function loads only what it calls:
 ``gamma_contour_oracle`` loads ``scipy.integrate`` and ``clt_test``
@@ -33,12 +37,7 @@ import numpy as np
 from .energy import ENERGY, Functional
 from .mle import MLE
 from .model import ModelParams
-from .sim import (
-    BatchResult,
-    clt_statistics,
-    make_grid,
-    simulate_martingale_batch,
-)
+from .sim import BatchResult, clt_statistics
 
 __all__ = [
     "FUNCTIONALS",
@@ -160,19 +159,21 @@ def mc_tail(
     T: float,
     replicates: int,
     seed: int,
-    grid_n: int = 2000,
+    *,
     with_order1: bool = False,
     result: BatchResult | None = None,
 ) -> MCReport:
-    """Estimate a tail probability by simulation and compare to closed form.
+    """Estimate a tail probability from a batch and compare to closed form.
 
     ``target`` is ``"energy"`` (event ``{S_T >= cT}``, or ``{S_T <= cT}``
     on the lower branch) or ``"mle"`` (event ``{theta_hat >= c}``, or
-    ``{theta_hat <= c}`` for ``c < theta``). A precomputed ``result`` of
-    ``replicates`` paths from the same (seed, grid) may be passed to
-    amortize simulation across several thresholds; one of another size, or
-    drawn at another horizon or seed, is an error. ``with_order1`` applies
-    to the energy only; it is an error for the estimator.
+    ``{theta_hat <= c}`` for ``c < theta``). ``result`` is the batch of
+    ``replicates`` paths drawn at the horizon ``T`` from ``seed``; one
+    batch serves any number of levels, and one of another size, horizon or
+    seed is an error. A level too rare for ``replicates`` paths is reported
+    as underpowered without reading a batch, so none is needed for it; a
+    level they resolve without a batch is an error. ``with_order1``
+    applies to the energy only; it is an error for the estimator.
     """
     if result is not None:
         _check_batch(result, replicates, T, seed)
@@ -183,8 +184,10 @@ def mc_tail(
     z = None
     if not underpowered:
         if result is None:
-            grid = make_grid(T, grid_n)
-            result = simulate_martingale_batch(params, grid, seed, replicates)
+            raise ValueError(
+                f"no batch to read: {replicates} paths resolve the {target} tail "
+                f"at c={c}; pass the batch they were drawn in as result"
+            )
         sample = _functional(target).sample(result)
         hits = np.sum(sample <= c) if approx.lower_tail else np.sum(sample >= c)
         est = float(hits) / replicates
@@ -397,23 +400,19 @@ def clt_test(
     T: float,
     replicates: int,
     seed: int,
-    grid_n: int = 2000,
-    result: BatchResult | None = None,
+    *,
+    result: BatchResult,
 ) -> tuple[KSReport, KSReport]:
     """KS tests of the standardized energy and estimator samples vs N(0,1).
 
-    A precomputed ``result`` must hold ``replicates`` paths drawn at the
-    horizon ``T`` from ``seed``.
+    ``result`` is the batch to test: ``replicates`` paths, at least 1000,
+    drawn at the horizon ``T`` from ``seed``.
     """
     from scipy.stats import kstest
 
-    if result is not None:
-        _check_batch(result, replicates, T, seed)
+    _check_batch(result, replicates, T, seed)
     if replicates < 1000:
         raise ValueError("clt_test requires at least 1e3 replicates")
-    if result is None:
-        grid = make_grid(T, grid_n)
-        result = simulate_martingale_batch(params, grid, seed, replicates)
     e_sample, m_sample = clt_statistics(result, params)
     reports = []
     for label, sample in (("energy clt", e_sample), ("mle clt", m_sample)):

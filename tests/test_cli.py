@@ -13,6 +13,7 @@ import fousldp
 from fousldp import cli
 from fousldp.energy import c_star, rate_energy, tail_energy
 from fousldp.model import ModelParams
+from fousldp.sim import make_grid, simulate_martingale_batch
 
 P = ModelParams(theta=-1.0, hurst=0.75)
 
@@ -196,7 +197,6 @@ class TestMcCommand:
             raise AssertionError("simulated an underpowered request")
 
         monkeypatch.setattr(cli, "simulate_martingale_batch", refuse)
-        monkeypatch.setattr(cli.validate, "simulate_martingale_batch", refuse)
         code = _run(
             ["mc", "--theta", "-1", "--hurst", "0.75", "--target", "energy",
              "--T", "40", "--c", "6.0", "--c", "7.0", "--replicates", "10000",
@@ -228,7 +228,6 @@ class TestMcCommand:
             return batch(*args, **kwargs)
 
         monkeypatch.setattr(cli, "simulate_martingale_batch", counted)
-        monkeypatch.setattr(cli.validate, "simulate_martingale_batch", counted)
         base = ["mc", "--theta", "-1", "--hurst", "0.75", "--target", "energy",
                 "--T", "10", "--grid-n", "200", "--replicates", "10000",
                 "--seed", "4"]
@@ -257,6 +256,19 @@ class TestCltCommand:
         rows = _rows(out)
         assert len(rows) == 2
         assert [r["label"] for r in rows] == ["energy clt T=10.0", "mle clt T=10.0"]
+
+    def test_rows_are_clt_test_on_the_batch_of_grid_n(self, capsys):
+        # --grid-n sets the grid of the batch the CLI draws for clt_test
+        argv = ["clt", "--theta", "-1", "--hurst", "0.75", "--T", "5",
+                "--replicates", "1000", "--seed", "6"]
+        assert _run(argv + ["--grid-n", "150"]) == cli.EXIT_OK
+        rows = _rows(capsys.readouterr().out)
+        batch = simulate_martingale_batch(P, make_grid(5.0, 150), 6, 1000)
+        reports = cli.validate.clt_test(P, 5.0, 1000, 6, result=batch)
+        assert [r["ks_statistic"] for r in rows] == [cli._fmt(r.statistic) for r in reports]
+        assert [r["below_1pct"] for r in rows] == [str(r.below_1pct) for r in reports]
+        assert _run(argv + ["--grid-n", "200"]) == cli.EXIT_OK
+        assert _rows(capsys.readouterr().out) != rows
 
 
 class TestOracleCommand:

@@ -183,7 +183,7 @@ class TestDerivatives:
 class TestTails:
     def test_easy_prefactor_structure(self):
         c, T = 0.7, 100.0
-        ta = tail_easy(P, c, T)
+        ta = tail_easy(P, c)
         assert ta.branch is EnergyBranch.EASY
         assert not ta.lower_tail
         assert ta.t_power == -0.5
@@ -198,14 +198,14 @@ class TestTails:
         assert ta.value(T) == pytest.approx(expect, rel=1e-12)
 
     def test_lower_tail_orientation(self):
-        ta = tail_easy(P, 0.3, 50.0)
+        ta = tail_easy(P, 0.3)
         assert ta.lower_tail
         assert ta.branch is EnergyBranch.GAUSSIAN
         assert ta.value(50.0) > 0
 
     def test_hard_prefactor_structure(self):
         c, T = 4.0, 80.0
-        ta = tail_hard(P, c, T)
+        ta = tail_hard(P, c)
         d, s = P.delta_h, P.sin_pi_h
         g = 1.0 - 2.0 * c * d
         P_H = -0.5 * math.log(-g / (4.0 * d * s))
@@ -218,10 +218,10 @@ class TestTails:
 
     def test_hard_requires_beyond_threshold(self):
         with pytest.raises(ValueError):
-            tail_hard(P, 1.0, 50.0)
+            tail_hard(P, 1.0)
 
     def test_boundary_quarter_power(self):
-        ta = tail_boundary(P, 100.0)
+        ta = tail_boundary(P)
         assert ta.t_power == -0.25
         d, s = P.delta_h, P.sin_pi_h
         K_H = 0.5 * math.log(d * s) + 0.25 * math.log(d)
@@ -252,7 +252,7 @@ class TestTails:
         # as H decreases to 1/2 the Bessel correction K_H tends to 0
         c, T = 0.7, 50.0
         p_near = ModelParams(theta=-1.0, hurst=0.5001)
-        ta = tail_easy(p_near, c, T)
+        ta = tail_easy(p_near, c)
         a_c = (4.0 * c * c - 1.0) / (8.0 * c * c)
         sigma_c = math.sqrt(4.0 * c**3)
         J = -0.5 * math.log((1.0 + 2.0 * (-1.0) * c) / 2.0 + 2.0 * c)
@@ -277,8 +277,8 @@ class TestOrder1:
         for c in (0.7, 0.9, 1.5):
             for T in (400.0, 800.0):
                 exact = energy_tail(P, c, T)
-                lead = tail_easy(P, c, T).value(T)
-                corr = tail_easy(P, c, T, with_order1=True).value(T)
+                lead = tail_easy(P, c).value(T)
+                corr = tail_easy(P, c, with_order1=True).value(T)
                 assert abs(corr / exact - 1.0) < abs(lead / exact - 1.0)
 
     def test_coefficient_against_contour_oracle(self):
@@ -289,7 +289,7 @@ class TestOrder1:
         for T in (400.0, 800.0):
             exact = contour_tail_mpmath(P.theta, P.hurst, 0.0, 1.0, c * T, T, 0.245,
                                         dps=40)
-            lead = tail_easy(P, c, T).value(T)
+            lead = tail_easy(P, c).value(T)
             implied[T] = (exact / lead - 1.0) * T
         rich = 2.0 * implied[800.0] - implied[400.0]
         assert rich == pytest.approx(order1_coeff_easy(P, c), abs=0.6)
@@ -301,7 +301,7 @@ class TestOrder1:
             order1_coeff_easy(P, -0.2)
 
     def test_order1_correction_positivity_guard(self):
-        ta = tail_easy(P, 0.7, 40.0, with_order1=True)
+        ta = tail_easy(P, 0.7, with_order1=True)
         assert ta.order1 is not None
         val = ta.value(40.0)
         assert val > 0
@@ -374,6 +374,12 @@ class TestSaddle:
         with pytest.raises(ValueError):
             saddle_solve(P, 0.7, 100.0)
 
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_rejects_non_positive_levels(self, c):
+        # classify_branch refuses the level before any bracket is built
+        with pytest.raises(ValueError, match="tail level must be positive"):
+            saddle_solve(P, c, 100.0)
+
     def test_solves_every_input_of_the_sweep(self, monkeypatch):
         # 2940 inputs from c* to 20 c* and T from 10 to 1e6, plus two deep
         # hard levels where a_T lies a few ulps below a_h; the root s_T is
@@ -441,13 +447,14 @@ class TestSaddle:
                     assert float(abs(saddle_solve(p, c, T).phi_T / ref - 1)) < 1e-14
 
     def test_extreme_levels_and_horizons(self):
-        # where a_T rounds to a_h, or the residual is lost at T >= 1e300, the
-        # refusal is an ArithmeticError that names that cause; below c*
+        # where a_T rounds to a_h, or the bracket underflows, the refusal is
+        # an ArithmeticError that names that cause; none names the residual,
+        # since K'/T stays finite where 2 phi^2 s is subnormal. Below c*
         # beyond the boundary window it is a ValueError. Every input below
-        # the horizon listed for its (theta, c/c*) is answered, as it was
-        # when the root came from Brent's method (1e100 where not listed)
-        answered_below = {(-1.0, 1e6): 1e12, (-0.001, 1e6): 1e15, (-0.3, 1.0): math.inf,
-                          (-5.0, 0.99999999): 1e308}
+        # the horizon listed for its (theta, c/c*), else for its theta, is
+        # answered
+        answered_below = {-1.0: 1e100, -0.3: math.inf, -5.0: 1e308, -0.001: 1e100,
+                          (-1.0, 1e6): 1e12, (-0.001, 1e6): 1e15, (-0.3, 1e6): 1e308}
         for theta, hurst in ((-1.0, 0.75), (-0.3, 0.51), (-5.0, 0.99), (-0.001, 0.6)):
             p = ModelParams(theta, hurst)
             for ratio in (0.99999999, 1.0, 1.0001, 2.0, 1e6):
@@ -460,8 +467,9 @@ class TestSaddle:
                     try:
                         sol = saddle_solve(p, c, T)
                     except ArithmeticError as exc:
-                        assert T >= answered_below.get((theta, ratio), 1e100)
+                        assert T >= answered_below.get((theta, ratio), answered_below[theta])
                         assert "did not converge" not in str(exc)
+                        assert "residual" not in str(exc)
                         continue
                     assert sol.a_T < p.a_h
                     assert math.isfinite(sol.phi_T)

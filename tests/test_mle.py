@@ -158,7 +158,7 @@ class TestClassify:
 class TestTails:
     def test_easy_prefactor_structure(self):
         c, T = -0.6, 40.0
-        ta = tail_mle_easy(P, c, T)
+        ta = tail_mle_easy(P, c)
         a_c = (c * c - 1.0) / (2.0 * c)
         assert a_c == pytest.approx(0.5333333333333333, rel=1e-12)
         sigma_c2 = -1.0 / (2.0 * c)
@@ -172,19 +172,19 @@ class TestTails:
         assert not ta.lower_tail  # theta < c < theta/3 is the upper tail
 
     def test_easy_lower_tail_below_theta(self):
-        ta = tail_mle_easy(P, -2.0, 40.0)
+        ta = tail_mle_easy(P, -2.0)
         assert ta.lower_tail
         assert ta.value(40.0) > 0
 
     def test_easy_rejections(self):
         with pytest.raises(ValueError):
-            tail_mle_easy(P, 0.2, 40.0)
+            tail_mle_easy(P, 0.2)
         with pytest.raises(ValueError):
-            tail_mle_easy(P, P.theta, 40.0)
+            tail_mle_easy(P, P.theta)
 
     def test_hard_prefactor_structure(self):
         c, T = 0.5, 60.0
-        ta = tail_mle_hard(P, c, T)
+        ta = tail_mle_hard(P, c)
         a_up = 2.0 * (c + 1.0)
         assert a_up == pytest.approx(3.0, rel=1e-15)
         sigma2 = c * c / (2.0 * (2.0 * c + 1.0) ** 3)
@@ -200,24 +200,24 @@ class TestTails:
     def test_hard_negative_levels(self):
         # theta/3 < c < 0: both factors of the log argument are negative,
         # the ratio is positive
-        ta = tail_mle_hard(P, -0.2, 60.0)
+        ta = tail_mle_hard(P, -0.2)
         assert math.isfinite(ta.log_value(60.0))
 
     def test_hard_h_scaling(self):
         q = ModelParams(theta=-1.0, hurst=0.9)
         c, T = 0.5, 60.0
-        ratio = tail_mle_hard(P, c, T).value(T) / tail_mle_hard(q, c, T).value(T)
+        ratio = tail_mle_hard(P, c).value(T) / tail_mle_hard(q, c).value(T)
         assert ratio == pytest.approx(math.sqrt(P.sin_pi_h / q.sin_pi_h), rel=1e-12)
 
     def test_hard_rejections(self):
         with pytest.raises(ValueError):
-            tail_mle_hard(P, -2.0, 40.0)
+            tail_mle_hard(P, -2.0)
         with pytest.raises(ValueError):
-            tail_mle_hard(P, 0.0, 40.0)
+            tail_mle_hard(P, 0.0)
 
     def test_zero_closed_form(self):
         T = 30.0
-        ta = tail_mle_zero(P, T)
+        ta = tail_mle_zero(P)
         expect = (
             2.0
             * math.exp(-T)
@@ -230,13 +230,13 @@ class TestTails:
     def test_zero_vs_hard_divergence(self):
         # naive hard evaluation degenerates as c -> 0; the zero case stays
         # finite and carries the factor 2
-        small = tail_mle_hard(P, 1e-4, 30.0)
-        zero = tail_mle_zero(P, 30.0)
+        small = tail_mle_hard(P, 1e-4)
+        zero = tail_mle_zero(P)
         assert small.value(30.0) < zero.value(30.0)
 
     def test_boundary_quarter_power(self):
         T = 50.0
-        ta = tail_mle_boundary(P, T)
+        ta = tail_mle_boundary(P)
         assert ta.t_power == -0.25
         a_b = 4.0 / 3.0
         sigma_b = math.sqrt(1.5)

@@ -188,7 +188,8 @@ class TestGammaContour:
 
 class TestMcTail:
     def test_energy_moderate_deviation(self):
-        rep = mc_tail(P, "energy", 0.7, 40.0, 100_000, seed=101)
+        res = simulate_martingale_batch(P, make_grid(40.0, 2000), seed=101, replicates=100_000)
+        rep = mc_tail(P, "energy", 0.7, 40.0, 100_000, seed=101, result=res)
         assert not rep.underpowered
         assert rep.std_error > 0
         assert rep.z_score == pytest.approx(
@@ -202,6 +203,12 @@ class TestMcTail:
         assert rep.z_score is None
         assert math.isnan(rep.estimate)
         assert rep.closed_form < 10.0 / 100_000
+
+    def test_resolvable_level_needs_a_batch(self):
+        # the harness draws nothing: a level 10000 paths resolve has no
+        # estimate without the batch they were drawn in
+        with pytest.raises(ValueError, match="no batch"):
+            mc_tail(P, "energy", 0.7, 40.0, 10_000, seed=1)
 
     def test_reuse_of_batch(self):
         grid = make_grid(40.0, 2000)
@@ -219,7 +226,7 @@ class TestMcTail:
         # a batch drawn at T = 10 read as one at T = 40 would count S_10/40
         res = simulate_martingale_batch(P, make_grid(10.0, 200), seed=2, replicates=10_000)
         with pytest.raises(ValueError, match="T=10.0, not T=40.0"):
-            mc_tail(P, "energy", 0.6, 40.0, 10_000, seed=1, grid_n=4000, result=res)
+            mc_tail(P, "energy", 0.6, 40.0, 10_000, seed=1, result=res)
 
     def test_result_of_another_seed_is_rejected(self):
         # the report would be labelled with a seed the batch was not drawn at
@@ -286,6 +293,7 @@ class TestCltTest:
     def test_preasymptotic_flagging(self):
         # a very short horizon is allowed to fail the 1% criterion; the
         # report itself must still be well-formed
-        e, m = clt_test(P, 10.0, 1000, seed=43, grid_n=500)
+        res = simulate_martingale_batch(P, make_grid(10.0, 500), seed=43, replicates=1000)
+        e, m = clt_test(P, 10.0, 1000, seed=43, result=res)
         assert e.statistic > 0
         assert m.statistic > 0
