@@ -38,9 +38,6 @@ __all__ = [
     "order1_coeff_easy",
     "saddle_solve",
     "energy_l",
-    "energy_l_deriv",
-    "energy_h_deriv",
-    "energy_k_deriv",
 ]
 
 
@@ -121,7 +118,8 @@ class SaddleSolution:
     def a_expansion(self, T: float) -> float:
         a0, a1, a2 = self.a_coeffs
         s = T if self.scale == "1/T" else math.sqrt(T)
-        return a0 + a1 / s + a2 / s**2
+        # s * s is inf, not an OverflowError as s**2 is, beyond T ~ 1e154
+        return a0 + a1 / s + a2 / (s * s)
 
 
 def c_star(params: ModelParams) -> float:
@@ -163,58 +161,9 @@ def classify_branch(params: ModelParams, c: float, T: float) -> EnergyBranch:
     return EnergyBranch.GAUSSIAN
 
 
-# ---------------------------------------------------------------------------
-# energy-section functions L, H, K and their derivatives
-# ---------------------------------------------------------------------------
-
-
-def energy_phi(params: ModelParams, a: float) -> float:
-    return math.sqrt(params.theta**2 - 2.0 * a)
-
-
 def energy_l(params: ModelParams, a: float) -> float:
     """Limiting cumulant generating function of the energy section."""
-    return -0.5 * (params.theta + energy_phi(params, a))
-
-
-def energy_l_deriv(params: ModelParams, a: float, q: int) -> float:
-    """q-th derivative of the limiting term: (2q-3)!! / 2 * phi^(1-2q)."""
-    if q < 1:
-        raise ValueError("derivative order must be >= 1")
-    phi = energy_phi(params, a)
-    dfact = 1.0
-    for j in range(3, 2 * q - 2, 2):
-        dfact *= j
-    return dfact / 2.0 * phi ** (1 - 2 * q)
-
-
-def _logratio_derivs(A: float, B: float, u: float) -> tuple[float, float, float]:
-    # first three a-derivatives of F(a) = -1/2 log(A u + B) + 1/2 log u
-    # where u = phi(a) and du/da = -1/u
-    V = A * u + B
-    f1 = A / (2.0 * u * V) - 1.0 / (2.0 * u * u)
-    f2 = (A / 2.0) * (u**-3 / V + A * u**-2 / V**2) - u**-4
-    f3 = (
-        1.5 * A * u**-5 / V
-        + 1.5 * A * A * u**-4 / V**2
-        + A**3 * u**-3 / V**3
-        - 4.0 * u**-6
-    )
-    return f1, f2, f3
-
-
-def energy_h_deriv(params: ModelParams, a: float, q: int) -> float:
-    """q-th derivative (q <= 3) of the 1/T Gaussian correction term."""
-    derivs = _logratio_derivs(1.0, -params.theta, energy_phi(params, a))
-    return derivs[q - 1]
-
-
-def energy_k_deriv(params: ModelParams, a: float, q: int) -> float:
-    """q-th derivative (q <= 3) of the limiting Bessel correction term K."""
-    A = 2.0 + params.p_h
-    B = params.theta * params.p_h
-    derivs = _logratio_derivs(A, B, energy_phi(params, a))
-    return derivs[q - 1]
+    return -0.5 * (params.theta + math.sqrt(params.theta**2 - 2.0 * a))
 
 
 # ---------------------------------------------------------------------------
@@ -272,18 +221,26 @@ def order1_coeff_easy(params: ModelParams, c: float) -> float:
     and the constant from the T-dependence of the Bessel correction is
     added. Only first and second derivatives of the 1/T-order terms enter
     at this order.
+
+    Every derivative is taken at the saddle's own ``phi = 1/(2c)``, not at
+    ``sqrt(theta^2 - 2 a_c)``, which cancels as ``a_c`` nears
+    ``theta^2/2``: ``L^(q) = (2q-3)!!/2 phi^(1-2q)`` is a power of ``c``,
+    and ``H`` and ``K`` are ``-1/2 log(A phi + B) + 1/2 log phi`` with
+    ``(A, B) = (1, -theta)`` and ``(2 + p_h, theta p_h)``, whose first
+    two derivatives are ``-2 c^2 r`` and ``8 c^4 r (r - 3)`` with
+    ``r = B/V`` and ``V = A/(2c) + B``.
     """
     theta = params.theta
     if not 0 < c < c_star(params):
         raise ValueError(f"c={c} outside the interior-saddlepoint range")
     a_c = _saddle_ac(params, c)
-    sig2 = energy_l_deriv(params, a_c, 2)  # equals 4 c^3
-    l3 = energy_l_deriv(params, a_c, 3)
-    l4 = energy_l_deriv(params, a_c, 4)
-    h1, h2 = (energy_h_deriv(params, a_c, q) for q in (1, 2))
-    k1, k2 = (energy_k_deriv(params, a_c, q) for q in (1, 2))
-    s1, s2 = h1 + k1, h2 + k2
+    sig2, l3, l4 = 4.0 * c**3, 48.0 * c**5, 960.0 * c**7
     p_h = params.p_h
+    s1 = s2 = 0.0
+    for A, B in ((1.0, -theta), (2.0 + p_h, theta * p_h)):
+        r = B / (A / (2.0 * c) + B)
+        s1 -= 2.0 * c * c * r
+        s2 += 8.0 * c**4 * r * (r - 3.0)
     kc1 = (
         c
         * (1.0 + 2.0 * theta * c)

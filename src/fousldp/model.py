@@ -56,7 +56,12 @@ def check_level_and_horizon(c: float, T: Optional[float] = None) -> None:
     """
     if not math.isfinite(c):
         raise ValueError(f"tail level c must be finite, got c={c}")
-    if T is not None and not (math.isfinite(T) and T > 0):
+    if T is not None:
+        _check_horizon(T)
+
+
+def _check_horizon(T: float) -> None:
+    if not (math.isfinite(T) and T > 0):
         raise ValueError(f"horizon T must be finite and positive, got T={T}")
 
 
@@ -140,15 +145,21 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class GenFnPoint:
-    """A tilt point (a, b) together with the horizon T > 0."""
+    """A tilt point (a, b) together with the horizon T > 0.
+
+    A non-finite ``a`` or ``b``, or a ``T`` that is not finite and
+    positive, is a ``ValueError`` naming the argument.
+    """
 
     a: float
     b: float
     T: float
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError(f"horizon T must be positive, got {self.T}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            name, x = ("b", self.b) if math.isfinite(self.a) else ("a", self.a)
+            raise ValueError(f"tilt {name} must be finite, got {name}={x}")
+        _check_horizon(self.T)
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,21 @@ class TestTailCommand:
         assert float(row["value"]) == ref.value(40.0)
         assert float(row["order1"]) == ref.order1
 
+    @pytest.mark.parametrize("c, branch", [("4", "HARD"), (repr(c_star(P)), "BOUNDARY")])
+    def test_order1_away_from_the_interior_branch(self, c, branch, capsys):
+        # no order-1 coefficient there: the cell is empty and every other
+        # cell is the bytes of the run without --order1
+        argv = ["tail", "--theta", "-1", "--hurst", "0.75", "--target", "energy",
+                "--T", "100", "--c", c]
+        assert _run(argv) == cli.EXIT_OK
+        plain = capsys.readouterr().out
+        assert _run(argv + ["--order1"]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert out == plain
+        row = _rows(out)[0]
+        assert row["branch"] == branch
+        assert row["order1"] == ""
+
     def test_law_of_large_numbers_point_is_invalid(self, capsys):
         code = _run(
             ["tail", "--theta", "-1", "--hurst", "0.75", "--target", "energy",
@@ -146,6 +161,14 @@ class TestSaddleCommand:
         for key in ("a_T", "phi_T", "scale", "a0", "a1", "a2", "expansion"):
             assert key in row
         assert row["scale"] == "1/T"
+
+    def test_expansion_at_a_horizon_whose_square_overflows(self, capsys):
+        code = _run(
+            ["saddle", "--theta", "-5", "--hurst", "0.99", "--c", "10", "--T", "1e300"]
+        )
+        assert code == cli.EXIT_OK
+        row = _rows(capsys.readouterr().out)[0]
+        assert float(row["expansion"]) == float(row["a0"])
 
 
 class TestSimulateCommand:

@@ -18,10 +18,7 @@ from fousldp.energy import (
     boundary_tolerance,
     c_star,
     classify_branch,
-    energy_h_deriv,
-    energy_k_deriv,
     energy_l,
-    energy_l_deriv,
     order1_coeff_easy,
     rate_energy,
     saddle_solve,
@@ -35,14 +32,56 @@ from fousldp.model import GenFnPoint, ModelParams, exact_lt, gen_fn_terms, modif
 P = ModelParams(theta=-1.0, hurst=0.75)
 
 
-def central_diff(f, a, q, h):
-    if q == 1:
-        return (f(a + h) - f(a - h)) / (2 * h)
-    if q == 2:
-        return (f(a + h) - 2 * f(a) + f(a - h)) / h**2
-    if q == 3:
-        return (f(a + 2 * h) - 2 * f(a + h) + 2 * f(a - h) - f(a - 2 * h)) / (2 * h**3)
-    raise ValueError(q)
+def energy_sections_mp(mp, p):
+    """``L``, ``H`` and ``K`` of the energy section at mpmath's precision.
+
+    Transcriptions of ``energy_l``, of the exact split's ``Hterm`` at the
+    tilt ``(0, a)`` and of the modified split's ``K``, with the float
+    parameters taken as exact; ``test_transcriptions_match_the_package``
+    pins them to those functions.
+    """
+    th, ph = mp.mpf(p.theta), mp.mpf(p.p_h)
+    phi = lambda a: mp.sqrt(th**2 - 2 * a)
+    return {
+        "L": lambda a: -(th + phi(a)) / 2,
+        "H": lambda a: -mp.log((phi(a) - th) / (2 * phi(a))) / 2,
+        "K": lambda a: -mp.log(1 + (phi(a) + th) * ph / (2 * phi(a))) / 2,
+    }
+
+
+def saddle_closed_forms(mp, p, c):
+    """The hand formulas for the a-derivatives at the saddle ``a_c``.
+
+    At ``phi = 1/(2c)``, ``L^(q)`` is a power of ``c``; ``H`` and ``K`` are
+    ``-1/2 log(A phi + B) + 1/2 log phi``, whose first two derivatives are
+    ``-2 c^2 r`` and ``8 c^4 r (r - 3)`` with ``r = B/(A/(2c) + B)``.
+    """
+    th, ph = mp.mpf(p.theta), mp.mpf(p.p_h)
+    forms = {("L", 1): c, ("L", 2): 4 * c**3, ("L", 3): 48 * c**5, ("L", 4): 960 * c**7}
+    for name, A, B in (("H", 1, -th), ("K", 2 + ph, th * ph)):
+        r = B / (A / (2 * c) + B)
+        forms[name, 1] = -2 * c**2 * r
+        forms[name, 2] = 8 * c**4 * r * (r - 3)
+    return forms
+
+
+def order1_coeff_mp(mp, p, c):
+    """``order1_coeff_easy`` at 50 digits, every derivative by ``mp.diff``."""
+    with mp.workdps(50):
+        th, c = mp.mpf(p.theta), mp.mpf(c)
+        f = energy_sections_mp(mp, p)
+        a = th**2 / 2 - 1 / (8 * c * c)
+        sig2, l3, l4 = (mp.diff(f["L"], a, q) for q in (2, 3, 4))
+        s1, s2 = (mp.diff(f["H"], a, q) + mp.diff(f["K"], a, q) for q in (1, 2))
+        ph = mp.mpf(p.p_h)
+        kc1 = c * (1 + 2 * th * c) * (2 * mp.mpf(p.hurst) - 1) ** 2 / (
+            2 * mp.mpf(p.sin_pi_h) * (2 + ph * (1 + 2 * th * c))
+        )
+        core = (
+            s1 / a - s1**2 / 2 - s2 / 2 - l3 / (2 * a * sig2) + s1 * l3 / (2 * sig2)
+            - 5 * l3**2 / (24 * sig2**2) + l4 / (8 * sig2) - 1 / a**2
+        )
+        return core / sig2 + kc1
 
 
 class TestRate:
@@ -132,52 +171,72 @@ class TestClassify:
 
 
 class TestDerivatives:
+    # the hand formulas are judged by mp.diff, a finite difference taken at
+    # 50 digits, of the mpmath transcriptions of L, H and K
+    def test_transcriptions_match_the_package(self):
+        mp = pytest.importorskip("mpmath")
+        f = energy_sections_mp(mp, P)
+        for a in (-1.0, 0.0, 0.2, 0.4, 0.48):
+            with mp.workdps(50):
+                ref = {name: float(fn(mp.mpf(a))) for name, fn in f.items()}
+            assert energy_l(P, a) == pytest.approx(ref["L"], rel=1e-15)
+            hterm = gen_fn_terms(P, GenFnPoint(0.0, a, 10.0)).Hterm
+            assert hterm == pytest.approx(ref["H"], rel=1e-14, abs=1e-16)
+            assert modified_terms(P, a, 10.0)[0] == pytest.approx(ref["K"], rel=1e-14, abs=1e-16)
+
     @pytest.mark.parametrize("a", [-1.0, 0.0, 0.2, 0.4])
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_analytic_vs_finite_difference(self, a, q):
-        # step tuned per order: the third difference needs a coarser step
-        h = 1e-5 if q < 3 else 1e-3
-        # the third difference has larger truncation error where the fifth
-        # derivative is big (near the domain boundary)
-        tol = 1e-6 if q < 3 else 2e-3
-        # H and K of the energy section are the exact split's Hterm at the
-        # tilt (0, a) and the K of the modified split; neither depends on T
-        for fn, dn in (
-            (lambda x: energy_l(P, x), energy_l_deriv),
-            (lambda x: gen_fn_terms(P, GenFnPoint(0.0, x, 10.0)).Hterm, energy_h_deriv),
-            (lambda x: modified_terms(P, x, 10.0)[0], energy_k_deriv),
-        ):
-            num = central_diff(fn, a, q, h)
-            ana = dn(P, a, q)
-            assert ana == pytest.approx(num, rel=tol, abs=tol)
+        # the closed forms at phi = 1/(2c) where the tilt a is the saddle of
+        # level c; H and K enter order1_coeff_easy through two derivatives
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            a = mp.mpf(a)
+            c = 1 / (2 * mp.sqrt(mp.mpf(P.theta) ** 2 - 2 * a))
+            forms = saddle_closed_forms(mp, P, c)
+            for name, fn in energy_sections_mp(mp, P).items():
+                if (name, q) in forms:
+                    num = mp.diff(fn, a, q)
+                    assert abs(forms[name, q] / num - 1) < mp.mpf("1e-40")
 
     def test_l_fourth_derivative(self):
-        a = 0.1
-        h = 1e-3
-        f = lambda x: energy_l(P, x)
-        num = (
-            f(a + 2 * h) - 4 * f(a + h) + 6 * f(a) - 4 * f(a - h) + f(a - 2 * h)
-        ) / h**4
-        assert energy_l_deriv(P, a, 4) == pytest.approx(num, rel=1e-4)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            a = mp.mpf("0.1")
+            c = 1 / (2 * mp.sqrt(mp.mpf(P.theta) ** 2 - 2 * a))
+            num = mp.diff(energy_sections_mp(mp, P)["L"], a, 4)
+            assert abs(saddle_closed_forms(mp, P, c)["L", 4] / num - 1) < mp.mpf("1e-40")
 
     def test_sigma_c_is_second_derivative(self):
+        # tail_easy's sigma_c = sqrt(4 c^3), at the saddle a_c of level c
+        mp = pytest.importorskip("mpmath")
+        L = energy_sections_mp(mp, P)["L"]
         for c in (0.6, 0.8, 1.2):
-            a_c = (4.0 * c * c - 1.0) / (8.0 * c * c)
-            assert energy_l_deriv(P, a_c, 2) == pytest.approx(4.0 * c**3, rel=1e-12)
-            assert energy_l_deriv(P, a_c, 1) == pytest.approx(c, rel=1e-12)
+            with mp.workdps(50):
+                a_c = (4 * mp.mpf(c) ** 2 - 1) / (8 * mp.mpf(c) ** 2)
+                assert abs(mp.diff(L, a_c, 2) / (4 * mp.mpf(c) ** 3) - 1) < mp.mpf("1e-40")
+                assert abs(mp.diff(L, a_c, 1) / c - 1) < mp.mpf("1e-40")
 
     def test_sigma_h_is_second_derivative_at_boundary(self):
-        d = P.delta_h
-        sigma_h2 = -1.0 / (2.0 * P.theta**3 * d**3)
-        assert energy_l_deriv(P, P.a_h, 2) == pytest.approx(sigma_h2, rel=1e-12)
+        # tail_hard's sigma_h^2 = -1/(2 theta^3 delta_h^3), at a_h
+        mp = pytest.importorskip("mpmath")
+        L = energy_sections_mp(mp, P)["L"]
+        with mp.workdps(50):
+            th, d = mp.mpf(P.theta), mp.mpf(P.delta_h)
+            sigma_h2 = -1 / (2 * th**3 * d**3)
+            assert abs(mp.diff(L, th**2 * (1 - d * d) / 2, 2) / sigma_h2 - 1) < mp.mpf("1e-40")
 
     def test_k_first_derivative_limit_formula(self):
         # closed form of the limiting first derivative at the saddle
-        th, ph = P.theta, P.p_h
+        mp = pytest.importorskip("mpmath")
+        K = energy_sections_mp(mp, P)["K"]
+        th, ph = mp.mpf(P.theta), mp.mpf(P.p_h)
         for c in (0.6, 0.9, 1.4):
-            a_c = (4.0 * th * th * c * c - 1.0) / (8.0 * c * c)
-            expect = -4.0 * th * ph * c**3 / (2.0 + ph * (1.0 + 2.0 * th * c))
-            assert energy_k_deriv(P, a_c, 1) == pytest.approx(expect, rel=1e-12)
+            with mp.workdps(50):
+                c = mp.mpf(c)
+                a_c = (4 * th * th * c * c - 1) / (8 * c * c)
+                expect = -4 * th * ph * c**3 / (2 + ph * (1 + 2 * th * c))
+                assert abs(mp.diff(K, a_c, 1) / expect - 1) < mp.mpf("1e-40")
 
 
 class TestTails:
@@ -294,6 +353,28 @@ class TestOrder1:
         rich = 2.0 * implied[800.0] - implied[400.0]
         assert rich == pytest.approx(order1_coeff_easy(P, c), abs=0.6)
 
+    def test_matches_a_50_digit_evaluation(self):
+        # levels on both sides of the mean up to 0.999 c*, against the same
+        # combination at 50 digits with every derivative by mp.diff. phi
+        # rebuilt as sqrt(theta^2 - 2 a_c) cancels near c*: it lost 6.2e-8
+        # at the level 19464.75 (0.961 c*) and 1.3e-6 at 0.999 c*. Near the
+        # mean the rounding of a_c costs up to 3.8e-12
+        mp = pytest.importorskip("mpmath")
+        worst = 0.0
+        for theta in (-0.1, -0.5, -1.0, -2.0, -5.0):
+            for hurst in (0.51, 0.6, 0.75, 0.9, 0.99):
+                p = ModelParams(theta, hurst)
+                mean, top = -0.5 / theta, 0.999 * c_star(p)
+                levels = [mean * f for f in (0.01, 0.1, 0.3, 0.6, 0.9, 0.99, 0.999)]
+                levels += [mean + (top - mean) * f
+                           for f in (0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 1.0)]
+                if (theta, hurst) == (-0.1, 0.51):
+                    levels.append(19464.751441320615)
+                for c in levels:
+                    err = abs(order1_coeff_easy(p, c) / order1_coeff_mp(mp, p, c) - 1)
+                    worst = max(worst, float(err))
+        assert worst < 1e-11
+
     def test_rejects_outside_interior_branch(self):
         with pytest.raises(ValueError):
             order1_coeff_easy(P, c_star(P) + 0.5)
@@ -325,13 +406,16 @@ def saddle_phi_mp(mp, p, c, T):
 
 class TestSaddle:
     def test_saddle_satisfies_equation(self):
+        # L' + (H' + K')/T = c at a_T, the derivatives by mp.diff at 50 digits
+        mp = pytest.importorskip("mpmath")
+        f = energy_sections_mp(mp, P)
         for c in (c_star(P), 4.0, 8.0):
             for T in (50.0, 200.0):
                 sol = saddle_solve(P, c, T)
-                lhs = energy_l_deriv(P, sol.a_T, 1) + (
-                    energy_h_deriv(P, sol.a_T, 1) + energy_k_deriv(P, sol.a_T, 1)
-                ) / T
-                assert lhs == pytest.approx(c, rel=1e-9)
+                with mp.workdps(50):
+                    a = mp.mpf(sol.a_T)
+                    lhs = mp.diff(f["L"], a) + (mp.diff(f["H"], a) + mp.diff(f["K"], a)) / T
+                assert float(lhs) == pytest.approx(c, rel=1e-9)
                 # consistency phi^2 + 2a = theta^2
                 assert sol.phi_T**2 + 2.0 * sol.a_T == pytest.approx(1.0, abs=1e-12)
 
@@ -473,6 +557,7 @@ class TestSaddle:
                         continue
                     assert sol.a_T < p.a_h
                     assert math.isfinite(sol.phi_T)
+                    assert math.isfinite(sol.a_expansion(T))
 
     def test_bisection_needs_a_sign_change(self):
         with pytest.raises(ArithmeticError, match="no sign change"):

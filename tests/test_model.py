@@ -93,6 +93,17 @@ class TestDomain:
         with pytest.raises(DomainError):
             gen_fn_terms(P, GenFnPoint(0.0, 0.6, 10.0))
 
+    @pytest.mark.parametrize("a, b, T, name", [
+        (math.nan, 0.1, 10.0, "a"), (math.inf, 0.1, 10.0, "a"),
+        (0.0, math.nan, 10.0, "b"), (0.0, -math.inf, 10.0, "b"),
+        (0.0, 0.1, math.inf, "T"), (0.0, 0.1, math.nan, "T"), (0.0, 0.1, 0.0, "T"),
+    ])
+    def test_non_finite_point_is_a_value_error_naming_it(self, a, b, T, name):
+        # not the LogArgumentError of a broken invariant inside exact_lt
+        with pytest.raises(ValueError, match=f"{name} must be finite") as info:
+            exact_lt(P, GenFnPoint(a, b, T))
+        assert not isinstance(info.value, DomainError)
+
 
 class TestExactSplit:
     def test_zero_point_is_zero(self):
