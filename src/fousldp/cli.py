@@ -15,14 +15,17 @@ notation and a locale-independent decimal point, so identical invocations
 produce byte-identical files. The columns of ``mc`` and ``oracle`` are the
 fields of ``validate.MCReport`` and ``validate.OracleReport``, in order.
 ``--target`` names an entry of ``validate.FUNCTIONALS``. A JSON config file
-may supply any long-form option; explicit command-line flags win over config
-values. A config value converts as the option's command-line token would (a
-list for a repeatable option, true or false for a switch); one that does not
-is an invalid parameter.
+may supply any long-form option, ``--target`` and ``--kind`` included;
+explicit command-line flags win over config values. A config value converts
+as the option's command-line token would (a list for a repeatable option,
+true or false for a switch); one that does not is an invalid parameter.
+Every option a command reads needs a value from the command line, the config
+or its default; one message names each option that has none (``--kind``
+alone for an ``oracle`` without one).
 
 Exit codes: 0 success, 2 invalid parameter values, 3 numerical failure,
-64 usage errors (unknown subcommand or flag, a flag abbreviated, an
-explicit ``oracle`` flag that its ``--kind`` does not read, or
+64 usage errors (unknown subcommand or flag, a flag abbreviated, a missing
+option, an explicit ``oracle`` flag that its ``--kind`` does not read, or
 ``oracle --kind bessel`` without mpmath, which the ``test`` extra installs).
 
 scipy is slow to import, so each command loads only the scipy module it
@@ -43,7 +46,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import energy, special, validate
-from .model import DomainError, ModelParams, check_level_and_horizon
+from .model import ModelParams, check_level_and_horizon
 from .sim import RngSpec, make_grid, simulate_martingale_batch, simulate_martingale_path
 
 __all__ = ["main", "run"]
@@ -107,72 +110,69 @@ def _params(args) -> ModelParams:
     return ModelParams(theta=args.theta, hurst=args.hurst)
 
 
-def _c_list(args) -> list[float]:
-    if args.c is None:
-        raise _UsageError("at least one --c value is required")
-    return list(args.c)
+def _each_level(args, row) -> int:
+    # the one loop of rate, tail, saddle, mc and oracle --kind legendre:
+    # row(c) builds the row of level c as a run of that level alone would
+    _emit([row(c) for c in args.c], args.out)
+    return EXIT_OK
 
 
 def _cmd_rate(args) -> int:
     params = _params(args)
     functional = validate.FUNCTIONALS[args.target]
-    rows = []
-    for c in _c_list(args):
+
+    def row(c):
         # the energy rate takes no horizon, and its branch is read only for c > 0
         check_level_and_horizon(c, args.T)
-        rows.append({"target": args.target, "c": c, "rate": functional.rate(params, c),
-                     "branch": functional.branch(params, c, args.T)})
-    _emit(rows, args.out)
-    return EXIT_OK
+        return {"target": args.target, "c": c, "rate": functional.rate(params, c),
+                "branch": functional.branch(params, c, args.T)}
+
+    return _each_level(args, row)
 
 
 def _cmd_tail(args) -> int:
     params = _params(args)
-    rows = []
     tail = validate.FUNCTIONALS[args.target].tail
-    for c in _c_list(args):
+
+    def row(c):
         approx = tail(params, c, args.T, with_order1=args.order1)
-        rows.append(
-            {
-                "target": args.target,
-                "c": c,
-                "T": args.T,
-                "branch": approx.branch.name,
-                "lower_tail": approx.lower_tail,
-                "rate": approx.rate,
-                "log_prefactor": approx.log_prefactor,
-                "t_power": approx.t_power,
-                "order1": approx.order1,
-                "value": approx.value(args.T),
-            }
-        )
-    _emit(rows, args.out)
-    return EXIT_OK
+        return {
+            "target": args.target,
+            "c": c,
+            "T": args.T,
+            "branch": approx.branch.name,
+            "lower_tail": approx.lower_tail,
+            "rate": approx.rate,
+            "log_prefactor": approx.log_prefactor,
+            "t_power": approx.t_power,
+            "order1": approx.order1,
+            "value": approx.value(args.T),
+        }
+
+    return _each_level(args, row)
 
 
 def _cmd_saddle(args) -> int:
     params = _params(args)
-    rows = []
-    for c in _c_list(args):
+
+    def row(c):
         sol = energy.saddle_solve(params, c, args.T)
-        rows.append(
-            {
-                "c": c,
-                "T": args.T,
-                "a_T": sol.a_T,
-                "phi_T": sol.phi_T,
-                "scale": sol.scale,
-                "a0": sol.a_coeffs[0],
-                "a1": sol.a_coeffs[1],
-                "a2": sol.a_coeffs[2],
-                "phi0": sol.phi_coeffs[0],
-                "phi1": sol.phi_coeffs[1],
-                "phi2": sol.phi_coeffs[2],
-                "expansion": sol.a_expansion(args.T),
-            }
-        )
-    _emit(rows, args.out)
-    return EXIT_OK
+        return {
+            "c": c,
+            "T": args.T,
+            "a_T": sol.a_T,
+            "phi_T": sol.phi_T,
+            "scale": sol.scale,
+            "a0": sol.a_coeffs[0],
+            "a1": sol.a_coeffs[1],
+            "a2": sol.a_coeffs[2],
+            "phi0": sol.phi_coeffs[0],
+            "phi1": sol.phi_coeffs[1],
+            "phi2": sol.phi_coeffs[2],
+            "expansion": sol.a_expansion(args.T),
+        }
+
+    return _each_level(args, row)
 
 
 def _draw_batch(args, params: ModelParams):
@@ -188,7 +188,7 @@ def _cmd_simulate(args) -> int:
         grid = make_grid(args.T, args.grid_n)
         if args.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        rows = []
+        ends = []
         for rep in range(args.replicates):
             path = simulate_martingale_path(params, grid, RngSpec(args.seed, rep))
             dump = [
@@ -196,39 +196,29 @@ def _cmd_simulate(args) -> int:
                 for t, m, y, q, s in zip(path.grid.nodes, path.M, path.Y, path.Q, path.S)
             ]
             _emit(dump, f"{args.out or 'path'}_{rep}.csv")
-            rows.append(
-                {"replicate": rep, "S_T": path.s_terminal, "theta_hat": path.theta_hat}
-            )
-        _emit(rows, args.out)
-        return EXIT_OK
-    res = _draw_batch(args, params)
-    rows = [
-        {"replicate": i, "S_T": float(s), "theta_hat": float(th)}
-        for i, (s, th) in enumerate(zip(res.s_terminal, res.theta_hat))
-    ]
-    _emit(rows, args.out)
+            ends.append((path.s_terminal, path.theta_hat))
+    else:
+        res = _draw_batch(args, params)
+        ends = zip(res.s_terminal, res.theta_hat)
+    _emit([{"replicate": i, "S_T": float(s), "theta_hat": float(th)}
+           for i, (s, th) in enumerate(ends)], args.out)
     return EXIT_OK
 
 
 def _cmd_mc(args) -> int:
     params = _params(args)
-    levels = _c_list(args)
     # one batch serves every level; every level is checked before it is
     # drawn, and none is drawn if every level is underpowered
     underpowered = [
         validate._mc_closed_form(
             params, args.target, c, args.T, args.replicates, args.order1
         )[2]
-        for c in levels
+        for c in args.c
     ]
     result = None if all(underpowered) else _draw_batch(args, params)
-    reports = [
-        validate.mc_tail(params, args.target, c, args.T, args.replicates, args.seed,
-                         with_order1=args.order1, result=result)
-        for c in levels
-    ]
-    _emit([asdict(r) for r in reports], args.out)
-    return EXIT_OK
+    return _each_level(args, lambda c: asdict(validate.mc_tail(
+        params, args.target, c, args.T, args.replicates, args.seed,
+        with_order1=args.order1, result=result)))
 
 
 def _cmd_clt(args) -> int:
@@ -253,8 +243,9 @@ def _cmd_clt(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.kind == "legendre":
         params = _params(args)
-        reports = [validate.legendre_oracle(params, args.target, c) for c in _c_list(args)]
-    elif args.kind == "gamma-contour":
+        return _each_level(
+            args, lambda c: asdict(validate.legendre_oracle(params, args.target, c)))
+    if args.kind == "gamma-contour":
         reports = [validate.gamma_contour_oracle(
             args.shape, args.nu, args.gamma_freq, args.sigma2, args.T, args.ell, args.p
         )]
@@ -290,12 +281,27 @@ _ORACLE_READS = {
 }
 
 
-def _check_oracle_flags(command: _Parser, kind: str, explicit: set[str]) -> None:
-    # a flag the chosen kind does not read would be dropped without a word
-    unread = explicit - _ORACLE_READS[kind] - {"kind", "out", "config"}
-    if unread:
-        flags = sorted(command.options[d].option_strings[0] for d in unread)
-        raise _UsageError(f"oracle --kind {kind} does not read {', '.join(flags)}")
+def _check_reads(command: _Parser, args: argparse.Namespace,
+                 explicit: set[str]) -> None:
+    # every option the command reads needs a value from the command line,
+    # the config or its default; oracle reads the options of its --kind
+    # alone, so an explicit flag that kind does not read would be dropped
+    # without a word
+    reads = set(command.options) - {"out", "config"}
+    if args.command == "oracle":
+        reads = {"kind"} | _ORACLE_READS.get(args.kind, set())
+        unread = explicit - reads - {"out", "config"}
+        if args.kind and unread:
+            flags = sorted(command.options[d].option_strings[0] for d in unread)
+            raise _UsageError(f"oracle --kind {args.kind} does not read {', '.join(flags)}")
+    missing = [action.option_strings[0] for dest, action in command.options.items()
+               if dest in reads and getattr(args, dest) is None]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+
+
+#: the --replicates default of each command that draws a batch
+_REPLICATES = {"simulate": 1, "mc": 100_000, "clt": 5000}
 
 
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -303,69 +309,43 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="fousldp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     commands: dict[str, _Parser] = {}
-
-    def common(p):
-        p.add_argument("--theta", type=float, required=False)
-        p.add_argument("--hurst", type=float, required=False)
+    for name, func, help in (
+        ("rate", _cmd_rate, "rate function table"),
+        ("tail", _cmd_tail, "sharp tail approximations"),
+        ("saddle", _cmd_saddle, "saddlepoint diagnostics (energy)"),
+        ("simulate", _cmd_simulate, "simulate paths"),
+        ("mc", _cmd_mc, "Monte Carlo tail comparison"),
+        ("clt", _cmd_clt, "central limit validation"),
+        ("oracle", _cmd_oracle, "numerical cross-checks"),
+    ):
+        p = commands[name] = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--theta", type=float)
+        p.add_argument("--hurst", type=float)
         p.add_argument("--T", type=float, default=100.0)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--config", type=str, default=None)
+        if name in ("rate", "tail", "mc", "oracle"):
+            p.add_argument("--target", choices=tuple(validate.FUNCTIONALS))
+        if name in ("rate", "tail", "saddle", "mc", "oracle"):
+            p.add_argument("--c", type=float, action="append")
+        if name in _REPLICATES:
+            p.add_argument("--replicates", type=int, default=_REPLICATES[name])
+            p.add_argument("--grid-n", dest="grid_n", type=int, default=2000)
+            p.add_argument("--seed", type=int, default=0)
+        if name in ("tail", "mc"):
+            p.add_argument("--order1", action="store_true")
 
-    def command(name, help):
-        p = commands[name] = sub.add_parser(name, help=help)
-        common(p)
-        return p
-
-    p = command("rate", "rate function table")
-    p.add_argument("--target", choices=tuple(validate.FUNCTIONALS), required=True)
-    p.add_argument("--c", type=float, action="append")
-    p.set_defaults(func=_cmd_rate)
-
-    p = command("tail", "sharp tail approximations")
-    p.add_argument("--target", choices=tuple(validate.FUNCTIONALS), required=True)
-    p.add_argument("--c", type=float, action="append")
-    p.add_argument("--order1", action="store_true")
-    p.set_defaults(func=_cmd_tail)
-
-    p = command("saddle", "saddlepoint diagnostics (energy)")
-    p.add_argument("--c", type=float, action="append")
-    p.set_defaults(func=_cmd_saddle)
-
-    p = command("simulate", "simulate paths")
-    p.add_argument("--replicates", type=int, default=1)
-    p.add_argument("--grid-n", dest="grid_n", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dump-paths", action="store_true")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = command("mc", "Monte Carlo tail comparison")
-    p.add_argument("--target", choices=tuple(validate.FUNCTIONALS), required=True)
-    p.add_argument("--c", type=float, action="append")
-    p.add_argument("--replicates", type=int, default=100_000)
-    p.add_argument("--grid-n", dest="grid_n", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--order1", action="store_true")
-    p.set_defaults(func=_cmd_mc)
-
-    p = command("clt", "central limit validation")
-    p.add_argument("--replicates", type=int, default=5000)
-    p.add_argument("--grid-n", dest="grid_n", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_clt)
-
-    p = command("oracle", "numerical cross-checks")
-    p.add_argument("--kind", choices=("legendre", "gamma-contour", "bessel"),
-                   required=True)
-    p.add_argument("--target", choices=tuple(validate.FUNCTIONALS), default="energy")
-    p.add_argument("--c", type=float, action="append")
+    commands["simulate"].add_argument("--dump-paths", action="store_true")
+    p = commands["oracle"]
+    p.set_defaults(target="energy")
+    p.add_argument("--kind", choices=tuple(_ORACLE_READS))
     p.add_argument("--shape", type=float, default=1.0)
     p.add_argument("--nu", type=float, default=0.5)
     p.add_argument("--gamma-freq", dest="gamma_freq", type=float, default=1.0)
     p.add_argument("--sigma2", type=float, default=1.0)
     p.add_argument("--ell", type=int, default=0)
     p.add_argument("--p", type=int, default=2)
-    p.set_defaults(func=_cmd_oracle)
-
     return parser, commands
 
 
@@ -427,27 +407,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         explicit = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
                     for tok in argv if tok.startswith("--")}
         _apply_config(commands[args.command], args, explicit)
-        if args.command == "oracle":
-            _check_oracle_flags(commands["oracle"], args.kind, explicit)
+        _check_reads(commands[args.command], args, explicit)
+        return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    needs_model = args.command != "oracle" or args.kind == "legendre"
-    if needs_model and (args.theta is None or args.hurst is None):
-        print("error: --theta and --hurst are required", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, DomainError) as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

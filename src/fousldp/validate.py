@@ -192,7 +192,7 @@ def mc_tail(
         hits = np.sum(sample <= c) if approx.lower_tail else np.sum(sample >= c)
         est = float(hits) / replicates
         se = math.sqrt(max(est * (1.0 - est), 1e-300) / replicates)
-        z = (est - closed) / se if se > 0 else None
+        z = (est - closed) / se
     return MCReport(
         label=f"{target} tail c={c} T={T}",
         estimate=est,

@@ -13,9 +13,10 @@ import fousldp
 from fousldp import cli
 from fousldp.energy import c_star, rate_energy, tail_energy
 from fousldp.model import ModelParams
-from fousldp.sim import make_grid, simulate_martingale_batch
+from fousldp.sim import RngSpec, make_grid, simulate_martingale_batch, simulate_martingale_path
 
 P = ModelParams(theta=-1.0, hurst=0.75)
+MODEL = ["--theta", "-1", "--hurst", "0.75"]
 
 #: the mc and oracle headers are the MCReport and OracleReport fields, in order
 MC_HEADER = "label,estimate,std_error,replicates,closed_form,z_score,underpowered,seed"
@@ -171,6 +172,34 @@ class TestSaddleCommand:
         assert float(row["expansion"]) == float(row["a0"])
 
 
+class TestEachLevel:
+    # a multi-level run prints, for each level, the row a run of that level
+    # alone prints
+    @pytest.mark.parametrize("argv, levels", [
+        (["rate", "--target", "energy"], ["-0.5", "0", "0.3", "0.7", repr(c_star(P)), "3"]),
+        (["rate", "--target", "mle"], ["-0.5", repr(P.theta / 3.0), "-0.1", "0", "0.5"]),
+        (["tail", "--target", "energy", "--T", "40"],
+         ["0.45", "0.3", "0.7", repr(c_star(P)), "3"]),
+        (["tail", "--target", "mle", "--T", "40"],
+         ["-0.5", repr(P.theta / 3.0), "-0.1", "0", "0.5"]),
+        (["saddle", "--T", "50"], [repr(c_star(P)), "4", "10"]),
+        (["oracle", "--kind", "legendre", "--target", "energy"], ["0.3", "0.7", "4"]),
+        (["oracle", "--kind", "legendre", "--target", "mle"], ["-0.6", "-0.1", "0.5"]),
+    ], ids=["rate-energy", "rate-mle", "tail-energy", "tail-mle", "saddle",
+            "oracle-energy", "oracle-mle"])
+    def test_multi_level_rows_are_the_single_level_rows(self, argv, levels, capsys):
+        base = argv + MODEL
+        assert _run(base + [a for c in levels for a in ("--c", c)]) == cli.EXIT_OK
+        together = capsys.readouterr().out.splitlines()
+        apart = []
+        for c in levels:
+            assert _run(base + ["--c", c]) == cli.EXIT_OK
+            header, row = capsys.readouterr().out.splitlines()
+            assert header == together[0]
+            apart.append(row)
+        assert together[1:] == apart
+
+
 class TestSimulateCommand:
     def test_reruns_byte_identical(self, tmp_path):
         out1 = tmp_path / "a.csv"
@@ -198,6 +227,26 @@ class TestSimulateCommand:
         rows = _rows(dump.read_text())
         assert list(rows[0].keys()) == ["t", "M", "Y", "Q", "S"]
         assert len(rows) == 151
+
+    def test_dump_paths_summary_is_each_paths_end(self, tmp_path, capsys):
+        # summary row i is the last S of <out>_i.csv and that path's
+        # theta_hat, under the header of the batch mode
+        base = ["simulate", *MODEL, "--T", "5", "--grid-n", "150", "--replicates", "3",
+                "--seed", "3"]
+        out = tmp_path / "summary.csv"
+        assert _run(base + ["--dump-paths", "--out", str(out)]) == cli.EXIT_OK
+        assert _run(base) == cli.EXIT_OK
+        header = "replicate,S_T,theta_hat"
+        assert _header(capsys.readouterr().out) == header
+        assert _header(out.read_text()) == header
+        rows = _rows(out.read_text())
+        assert [r["replicate"] for r in rows] == ["0", "1", "2"]
+        grid = make_grid(5.0, 150)
+        for i, row in enumerate(rows):
+            dump = _rows((tmp_path / f"summary.csv_{i}.csv").read_text())
+            assert row["S_T"] == dump[-1]["S"]
+            path = simulate_martingale_path(P, grid, RngSpec(3, i))
+            assert row["theta_hat"] == cli._fmt(path.theta_hat)
 
     @pytest.mark.parametrize("replicates", ["0", "-2"])
     @pytest.mark.parametrize("dump", [[], ["--dump-paths"]], ids=["batch", "dump-paths"])
@@ -410,6 +459,21 @@ class TestExitCodes:
     def test_missing_model_parameters(self, capsys):
         assert _run(["rate", "--target", "energy", "--c", "1.0"]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, flags", [
+        (["rate", "--theta", "-1", "--target", "energy", "--c", "1.0"], "--hurst"),
+        (["saddle", *MODEL], "--c"),
+        (["oracle", *MODEL, "--c", "1.0"], "--kind"),
+        (["rate"], "--theta, --hurst, --target, --c"),
+        (["oracle", "--kind", "legendre", "--hurst", "0.75"], "--theta, --c"),
+    ], ids=["rate-hurst", "saddle-c", "oracle-kind", "rate-all", "legendre"])
+    def test_missing_options_are_named(self, argv, flags, capsys):
+        # one message names each missing flag and only those; without
+        # --kind, oracle cannot tell what else it reads
+        assert _run(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: the following arguments are required: {flags}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv, name", [
         (["tail", "--target", "energy", "--c", "0.7", "--T", "0"], "T"),
         (["tail", "--target", "mle", "--c", "-0.6", "--T", "0"], "T"),
@@ -532,6 +596,22 @@ class TestConfig:
         assert code == cli.EXIT_INVALID
         assert capsys.readouterr().err.startswith("invalid parameters: config key")
 
+    @pytest.mark.parametrize("argv, key, value", [
+        (["rate", *MODEL, "--c", "0.7", "--c", "4"], "target", "energy"),
+        (["tail", *MODEL, "--c", "-0.6", "--T", "40"], "target", "mle"),
+        (["mc", *MODEL, "--c", "0.7", "--T", "10", "--grid-n", "200",
+          "--replicates", "10000"], "target", "energy"),
+        (["oracle", *MODEL, "--c", "0.7"], "kind", "legendre"),
+    ], ids=["rate", "tail", "mc", "oracle"])
+    def test_config_supplies_target_and_kind(self, argv, key, value, tmp_path, capsys):
+        # a config may supply any long option, the ones a command needs too
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        assert _run(argv + [f"--{key}", value]) == cli.EXIT_OK
+        flagged = capsys.readouterr().out
+        assert _run(argv + ["--config", str(path)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == flagged
+
     def test_config_value_outside_choices_is_invalid(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"target": "variance"}))
@@ -617,7 +697,6 @@ print(json.dumps(loaded))
 
     SCIPY = ["scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.special",
              "scipy.linalg"]
-    MODEL = ["--theta", "-1", "--hurst", "0.75"]
 
     # each unwanted entry is a package: "scipy" forbids every scipy module
     @pytest.mark.parametrize("argv, wanted, unwanted", [
