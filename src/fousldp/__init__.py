@@ -51,14 +51,7 @@ from .sim import (
     simulate_martingale_batch,
     simulate_martingale_path,
 )
-from .special import (
-    bessel_i,
-    bessel_i_scaled,
-    gamma_real,
-    r_h,
-    r_h_coeffs,
-    r_h_scaled,
-)
+from .special import r_h, r_h_coeffs, r_h_scaled
 from .validate import (
     KSReport,
     MCReport,

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .model import ModelParams, check_level_and_horizon
-from .special import gamma_real
 
 __all__ = [
     "EnergyBranch",
@@ -84,7 +83,8 @@ class Functional:
     """One of the two functionals, as the CLI and the validation harness see it.
 
     ``rate(params, c)`` is the large-deviation rate and ``branch(params, c,
-    T)`` the name of its branch, as the rate table labels it;
+    T)`` the name of its branch, as the rate table labels it, which rejects
+    a non-finite ``c`` or a bad ``T`` at every level;
     ``tail(params, c, T, with_order1)`` is the branch-dispatched sharp tail;
     ``sample(result)`` reads the functional's Monte Carlo sample off a
     batch of paths, at the batch's horizon; ``legendre(params, c)`` returns
@@ -294,7 +294,7 @@ def tail_boundary(params: ModelParams) -> TailApprox:
     K_H = 0.5 * math.log(d * s) + 0.25 * math.log(-theta * d)
     a_h = params.a_h
     sigma_h = math.sqrt(-1.0 / (2.0 * theta**3 * d**3))
-    log_pref = K_H + math.log(gamma_real(0.25) / (2.0 * math.pi * a_h * sigma_h))
+    log_pref = K_H + math.log(math.gamma(0.25) / (2.0 * math.pi * a_h * sigma_h))
     return TailApprox(
         rate=rate_energy(params, c_star(params)),
         log_prefactor=log_pref,
@@ -328,12 +328,19 @@ def _energy_legendre(params: ModelParams, c: float):
     return lo, hi, lambda a: -(c * a - energy_l(params, a))
 
 
+def _energy_branch(params: ModelParams, c: float, T: float) -> str:
+    # the rate table's label: the rate is infinite for c <= 0, which no
+    # tail branch covers; c and T are checked at every level all the same
+    check_level_and_horizon(c, T)
+    return classify_branch(params, c, T).name if c > 0 else "INFINITE"
+
+
 #: the energy ``S_T``: event ``{S_T >= cT}``, or ``{S_T <= cT}`` on the
 #: lower branch; its rate is infinite and its branch ``INFINITE`` for c <= 0
 ENERGY = Functional(
     name="energy",
     rate=rate_energy,
-    branch=lambda params, c, T: classify_branch(params, c, T).name if c > 0 else "INFINITE",
+    branch=_energy_branch,
     tail=tail_energy,
     sample=lambda result: result.s_terminal / result.grid.T,
     legendre=_energy_legendre,

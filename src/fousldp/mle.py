@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from .energy import Functional, TailApprox
 from .model import ModelParams, check_level_and_horizon
-from .special import gamma_real
 
 __all__ = [
     "MleBranch",
@@ -230,7 +229,7 @@ def tail_mle_boundary(params: ModelParams) -> TailApprox:
     a_b = -4.0 * theta / 3.0
     sigma_b = math.sqrt(-3.0 / (2.0 * theta))
     log_pref = math.log(
-        gamma_real(0.25)
+        math.gamma(0.25)
         * math.sqrt(params.sin_pi_h)
         / (4.0 * math.pi * a_b**0.75 * sigma_b)
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .special import gamma_real, r_h_scaled
+from .special import r_h_scaled
 
 __all__ = [
     "ModelParams",
@@ -118,9 +118,9 @@ class ModelParams:
             8.0
             * h
             * (1.0 - h)
-            * gamma_real(1.0 - 2.0 * h)
-            * gamma_real(h + 0.5)
-            / gamma_real(0.5 - h)
+            * math.gamma(1.0 - 2.0 * h)
+            * math.gamma(h + 0.5)
+            / math.gamma(0.5 - h)
         )
         if not val > 0:
             raise ArithmeticError(f"lambda_h must be positive, got {val}")
@@ -134,7 +134,7 @@ class ModelParams:
     def kappa_h(self) -> float:
         """Normalizing constant of the whitening kernel (Norros et al.)."""
         h = self.hurst
-        return 2.0 * h * gamma_real(1.5 - h) * gamma_real(h + 0.5)
+        return 2.0 * h * math.gamma(1.5 - h) * math.gamma(h + 0.5)
 
     @cached_property
     def a_h(self) -> float:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -84,14 +84,25 @@ class MCReport:
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Closed form vs independent numerical computation."""
+    """Closed form vs independent numerical computation.
+
+    ``abs_err`` and ``rel_err`` are computed from ``lhs`` and ``rhs``;
+    ``rel_err`` is None when ``|rhs|`` is at most 1e-300.
+    """
 
     label: str
     lhs: float
     rhs: float
-    abs_err: float
-    rel_err: Optional[float]
+    abs_err: float = field(init=False)
+    rel_err: Optional[float] = field(init=False)
     note: str = ""
+
+    def __post_init__(self):
+        err = abs(self.lhs - self.rhs)
+        object.__setattr__(self, "abs_err", err)
+        object.__setattr__(
+            self, "rel_err", err / abs(self.rhs) if abs(self.rhs) > 1e-300 else None
+        )
 
 
 @dataclass(frozen=True)
@@ -265,8 +276,6 @@ def legendre_oracle(params: ModelParams, target: str, c: float) -> OracleReport:
         label=f"legendre {target} c={c}",
         lhs=best,
         rhs=closed,
-        abs_err=abs(best - closed),
-        rel_err=abs(best - closed) / abs(closed) if abs(closed) > 1e-300 else None,
         note=note,
     )
 
@@ -384,8 +393,6 @@ def gamma_contour_oracle(
         label=f"gamma contour a={a} nu={nu} gamma={gamma} ell={ell} p={p} T={T}",
         lhs=lhs_main,
         rhs=rhs_main,
-        abs_err=abs(lhs_main - rhs_main),
-        rel_err=abs(lhs_main - rhs_main) / abs(rhs_main) if abs(rhs_main) > 1e-300 else None,
         note=f"quadrature error {err:.1e}{warned}; off-symmetry residual {resid:.2e}",
     )
 
@@ -411,8 +418,6 @@ def clt_test(
     from scipy.stats import kstest
 
     _check_batch(result, replicates, T, seed)
-    if replicates < 1000:
-        raise ValueError("clt_test requires at least 1e3 replicates")
     e_sample, m_sample = clt_statistics(result, params)
     reports = []
     for label, sample in (("energy clt", e_sample), ("mle clt", m_sample)):

@@ -342,6 +342,14 @@ class TestCltCommand:
         assert _run(argv + ["--grid-n", "200"]) == cli.EXIT_OK
         assert _rows(capsys.readouterr().out) != rows
 
+    def test_too_few_paths_is_invalid(self, capsys):
+        # the floor on the paths of a CLT batch is checked once, in sim
+        code = _run(["clt", *MODEL, "--T", "5", "--grid-n", "150", "--replicates", "10"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INVALID
+        assert "need at least 1000 paths for CLT statistics" in captured.err
+        assert captured.out == ""
+
 
 class TestOracleCommand:
     def test_legendre(self, capsys):
@@ -383,8 +391,8 @@ class TestOracleCommand:
         assert captured.out == ""
 
     def test_bessel_against_mpmath(self, capsys):
-        # 40 arguments in [0.01, 500] times 4 orders, each to the accuracy
-        # that bessel_i documents
+        # 40 arguments in [0.01, 500] times 4 orders, each within 1e-12
+        # relative of mpmath
         code = _run(["oracle", "--kind", "bessel"])
         assert code == cli.EXIT_OK
         out = capsys.readouterr().out

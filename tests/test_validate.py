@@ -12,6 +12,8 @@ from fousldp.energy import c_star
 from fousldp.model import ModelParams
 from fousldp.sim import BatchResult, make_grid, simulate_martingale_batch
 from fousldp.validate import (
+    FUNCTIONALS,
+    OracleReport,
     clt_test,
     gamma_contour_oracle,
     gamma_contour_series,
@@ -87,6 +89,31 @@ class TestLegendreOracle:
         # the rate checks the level before the Legendre bracket is built
         with pytest.raises(ValueError, match="c must be finite"):
             legendre_oracle(P, target, c)
+
+
+class TestOracleReport:
+    def test_errors_follow_from_lhs_and_rhs(self):
+        r = OracleReport("x", 1.0, 0.0)
+        assert r.abs_err == 1.0
+        assert r.rel_err is None
+        r = OracleReport("y", 1.5, 2.0, note="n")
+        assert (r.abs_err, r.rel_err, r.note) == (0.5, 0.25, "n")
+
+
+class TestFunctionals:
+    @pytest.mark.parametrize("target", ["energy", "mle"])
+    @pytest.mark.parametrize("c", [-1.0, 0.0])
+    @pytest.mark.parametrize("T", [math.nan, 0.0, -1.0, math.inf])
+    def test_branch_rejects_a_bad_horizon(self, target, c, T):
+        # the energy's rate is infinite for c <= 0, where its label reads
+        # no tail branch; the horizon is checked there all the same
+        with pytest.raises(ValueError, match="T must be finite"):
+            FUNCTIONALS[target].branch(P, c, T)
+
+    @pytest.mark.parametrize("target", ["energy", "mle"])
+    def test_branch_rejects_a_non_finite_level(self, target):
+        with pytest.raises(ValueError, match="c must be finite"):
+            FUNCTIONALS[target].branch(P, math.nan, 100.0)
 
 
 class TestGammaDensityDeriv:
