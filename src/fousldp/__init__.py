@@ -19,7 +19,6 @@ from .energy import (
 )
 from .mle import (
     MleBranch,
-    MleDomain,
     classify_mle,
     mle_domain,
     rate_mle,
@@ -59,7 +58,6 @@ from .validate import (
     clt_test,
     gamma_contour_oracle,
     gamma_contour_series,
-    ks_critical_value,
     legendre_oracle,
     mc_tail,
 )

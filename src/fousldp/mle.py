@@ -22,14 +22,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .energy import Functional, TailApprox
 from .model import ModelParams, check_level_and_horizon
 
 __all__ = [
     "MleBranch",
-    "MleDomain",
     "rate_mle",
     "mle_domain",
     "classify_mle",
@@ -51,20 +49,6 @@ class MleBranch(enum.Enum):
     BOUNDARY = "boundary"  # c = theta/3 within tolerance
     HARD = "hard"  # theta/3 < c, c != 0: boundary saddlepoint
     ZERO = "zero"  # c = 0: sign probability, closed form
-
-
-@dataclass(frozen=True)
-class MleDomain:
-    """Effective tilt domain ``(a_1, a_right)`` of the statistic Z_T(c).
-
-    ``a_right`` is the analyticity endpoint ``a_2`` when ``c <= theta/2``,
-    taken at the last float where ``mle_l`` is real, and the variance zero
-    ``a_c_up = 2(c - theta)`` otherwise.
-    """
-
-    a_1: float
-    a_right: float
-    right_is_variance_zero: bool
 
 
 def rate_mle(params: ModelParams, c: float) -> float:
@@ -97,8 +81,13 @@ def classify_mle(params: ModelParams, c: float, T: float) -> MleBranch:
     return MleBranch.HARD
 
 
-def mle_domain(params: ModelParams, c: float) -> MleDomain:
-    """Endpoints of the effective tilt domain of ``Z_T(c)``."""
+def mle_domain(params: ModelParams, c: float) -> tuple[float, float]:
+    """Effective tilt domain ``(a_1, a_right)`` of the statistic ``Z_T(c)``.
+
+    ``a_right`` is the analyticity endpoint ``a_2`` when ``c <= theta/2``,
+    taken at the last float where ``mle_l`` is real, and the variance zero
+    ``a_c_up = 2(c - theta)`` otherwise.
+    """
     theta = params.theta
     mu = params.delta_h**2
     disc = c * c - 2.0 * theta * c * mu + theta * theta * mu
@@ -116,15 +105,14 @@ def mle_domain(params: ModelParams, c: float) -> MleDomain:
     else:
         a1 = (q - root) / mu
         a2 = prod / a1
-    a_up = 2.0 * (c - theta)
     if c <= theta / 2.0:
         # at c = theta/2, a2 is the zero of L's square root theta^2 + 2 a c,
         # and near that level the two lie within a few ulps, so a2 can round
         # past the zero; step back to the last float where L is real
         while not theta * theta + 2.0 * a2 * c >= 0:
             a2 = math.nextafter(a2, -math.inf)
-        return MleDomain(a_1=a1, a_right=a2, right_is_variance_zero=False)
-    return MleDomain(a_1=a1, a_right=a_up, right_is_variance_zero=True)
+        return a1, a2
+    return a1, 2.0 * (c - theta)
 
 
 def mle_l(params: ModelParams, a: float, c: float) -> float:
@@ -268,8 +256,8 @@ def _mle_legendre(params: ModelParams, c: float):
     # -L(a) over the effective tilt domain of Z_T(c). The oracle never
     # evaluates the lower end, and it scores the right end, where the
     # maximizer sits at a boundary level
-    dom = mle_domain(params, c)
-    return dom.a_1, dom.a_right, lambda a: mle_l(params, a, c)
+    a1, a_right = mle_domain(params, c)
+    return a1, a_right, lambda a: mle_l(params, a, c)
 
 
 #: the estimator ``theta_hat_T``: event ``{theta_hat >= c}``, or

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, _check_horizon
 
 __all__ = [
     "TimeGrid",
@@ -183,8 +183,7 @@ def make_grid(T: float, n: int) -> TimeGrid:
     than half the intervals), then switches to uniform spacing once the
     geometric step reaches the uniform step.
     """
-    if not 0 < T < math.inf:
-        raise ValueError(f"horizon T must be finite and positive, got T={T}")
+    _check_horizon(T)
     if n < 100:
         raise ValueError(f"need at least 100 intervals, got n={n}")
     t1 = T * _FIRST_NODE_FRACTION

@@ -1,6 +1,6 @@
 r"""Validation harness: Monte Carlo comparisons and numerical oracles.
 
-Four independent families of checks tie the closed-form machinery to
+Five independent families of checks tie the closed-form machinery to
 ground truth obtained by entirely different means:
 
 * ``mc_tail`` estimates a tail probability from a batch of simulated paths
@@ -12,6 +12,9 @@ ground truth obtained by entirely different means:
   function, making the non-steepness (boundary maximizer) visible;
 * ``gamma_contour_oracle`` checks the oscillatory-integral expansion
   used by the boundary-regime analysis against adaptive quadrature;
+* ``r_h_oracle`` checks ``special.r_h_scaled``, the Bessel product the
+  exact cumulant generating function reads, against its four-Bessel
+  definition in 40-digit arithmetic;
 * ``clt_test`` runs Kolmogorov-Smirnov tests of the standardized central
   limit statistics of a batch against the standard normal law.
 
@@ -20,9 +23,11 @@ The harness judges batches and draws none: the caller draws a batch in
 was drawn at, which are checked against it.
 
 scipy is slow to import, so each function loads only what it calls:
-``gamma_contour_oracle`` loads ``scipy.integrate`` and ``clt_test``
-``scipy.stats``; ``mc_tail``, ``legendre_oracle`` (a golden-section
-search) and ``ks_critical_value`` load no scipy module.
+``gamma_contour_oracle`` loads ``scipy.integrate``, ``clt_test``
+``scipy.stats`` and ``r_h_oracle`` (through ``r_h_scaled``)
+``scipy.special``; ``mc_tail`` and ``legendre_oracle`` (a golden-section
+search) load no scipy module. ``r_h_oracle`` also imports mpmath, which
+the ``test`` extra installs.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .energy import ENERGY, Functional
 from .mle import MLE
 from .model import ModelParams
 from .sim import BatchResult, clt_statistics
+from .special import r_h_scaled
 
 __all__ = [
     "FUNCTIONALS",
@@ -49,8 +55,8 @@ __all__ = [
     "gamma_contour_oracle",
     "gamma_contour_series",
     "gamma_density_deriv",
+    "r_h_oracle",
     "clt_test",
-    "ks_critical_value",
 ]
 
 #: a Monte Carlo comparison is declared underpowered when the closed-form
@@ -107,26 +113,25 @@ class OracleReport:
 
 @dataclass(frozen=True)
 class KSReport:
-    """Kolmogorov-Smirnov statistic against N(0, 1) with critical values."""
+    """Kolmogorov-Smirnov statistic against N(0, 1) with critical values.
+
+    ``crit_1pct`` and ``crit_5pct`` are the asymptotic one-sample critical
+    values at ``n`` points, ``1.628/sqrt(n)`` and ``1.358/sqrt(n)``.
+    """
 
     label: str
     statistic: float
     n: int
-    crit_1pct: float
-    crit_5pct: float
+    crit_1pct: float = field(init=False)
+    crit_5pct: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "crit_1pct", 1.628 / math.sqrt(self.n))
+        object.__setattr__(self, "crit_5pct", 1.358 / math.sqrt(self.n))
 
     @property
     def below_1pct(self) -> bool:
         return self.statistic < self.crit_1pct
-
-
-def ks_critical_value(n: int, level: float) -> float:
-    """Asymptotic one-sample KS critical value at level 1% or 5%."""
-    if level == 0.01:
-        return 1.628 / math.sqrt(n)
-    if level == 0.05:
-        return 1.358 / math.sqrt(n)
-    raise ValueError(f"unsupported level {level}; use 0.01 or 0.05")
 
 
 def _check_batch(result: BatchResult, replicates: int, T: float, seed: int) -> None:
@@ -398,6 +403,30 @@ def gamma_contour_oracle(
 
 
 # ---------------------------------------------------------------------------
+# the Bessel product r_H
+# ---------------------------------------------------------------------------
+
+
+def r_h_oracle(hurst: float, z: float) -> OracleReport:
+    """``special.r_h_scaled`` against its four-Bessel definition.
+
+    ``rhs`` is ``exp(-2z) r_H(z)`` with
+    ``r_H(z) = pi z/sin(pi H) (I_H I_{1-H} + I_{-H} I_{H-1})(z)``,
+    evaluated in 40-digit arithmetic by mpmath; the four products are
+    positive, so nothing cancels.
+    """
+    import mpmath as mp
+
+    lhs = r_h_scaled(hurst, z)
+    with mp.workdps(40):
+        h, x = mp.mpf(hurst), mp.mpf(z)
+        four = (mp.besseli(h, x) * mp.besseli(1 - h, x)
+                + mp.besseli(-h, x) * mp.besseli(h - 1, x))
+        rhs = float(mp.pi * x / mp.sin(mp.pi * h) * four * mp.exp(-2 * x))
+    return OracleReport(label=f"r_h H={hurst} z={z:.6g}", lhs=lhs, rhs=rhs)
+
+
+# ---------------------------------------------------------------------------
 # central limit validation
 # ---------------------------------------------------------------------------
 
@@ -427,8 +456,6 @@ def clt_test(
                 label=f"{label} T={T}",
                 statistic=float(stat),
                 n=sample.size,
-                crit_1pct=ks_critical_value(sample.size, 0.01),
-                crit_5pct=ks_critical_value(sample.size, 0.05),
             )
         )
     return reports[0], reports[1]

@@ -391,14 +391,15 @@ class TestOracleCommand:
         assert captured.out == ""
 
     def test_bessel_against_mpmath(self, capsys):
-        # 40 arguments in [0.01, 500] times 4 orders, each within 1e-12
-        # relative of mpmath
+        # the package's r_h_scaled at 40 arguments in [0.01, 500] times 5
+        # Hurst indices, each within 1e-12 relative of 40-digit mpmath
         code = _run(["oracle", "--kind", "bessel"])
         assert code == cli.EXIT_OK
         out = capsys.readouterr().out
         assert _header(out) == ORACLE_HEADER
         rows = _rows(out)
-        assert len(rows) == 160
+        assert len(rows) == 200
+        assert all(r["label"].startswith("r_h H=") for r in rows)
         assert max(float(r["rel_err"]) for r in rows) < 1e-12
 
     def test_bessel_without_mpmath_is_usage_error(self, capsys, monkeypatch):

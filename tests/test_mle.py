@@ -61,19 +61,18 @@ class TestDomain:
         # for c > 0 the derivative of L never vanishes)
         for c in np.linspace(-3.0, -0.01, 120):
             a_c = (c * c - 1.0) / (2.0 * c)
-            dom = mle_domain(P, float(c))
-            inside = dom.a_1 < a_c < dom.a_right
+            a1, a_right = mle_domain(P, float(c))
+            inside = a1 < a_c < a_right
             assert inside == (c < P.theta / 3.0), f"c={c}"
 
     def test_right_endpoint_switch(self):
         # a^c and a_2 coincide at c = theta/2, and the variance zero takes
-        # over beyond it
+        # over beyond it; below it the right end is a_2, off the variance zero
         c = P.theta / 2.0
-        dom = mle_domain(P, c)
-        assert not dom.right_is_variance_zero
-        assert dom.a_right == pytest.approx(2.0 * (c - P.theta), rel=1e-12)
-        dom2 = mle_domain(P, c + 0.01)
-        assert dom2.right_is_variance_zero
+        assert mle_domain(P, c)[1] == pytest.approx(2.0 * (c - P.theta), rel=1e-12)
+        assert mle_domain(P, c + 0.01)[1] == 2.0 * (c + 0.01 - P.theta)
+        assert mle_domain(P, c - 0.01)[1] != pytest.approx(2.0 * (c - 0.01 - P.theta),
+                                                            rel=1e-6)
 
     @pytest.mark.parametrize("theta", [-0.001, -0.3, -1.0, -3.0, -5.0])
     @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.9, 0.99])
@@ -89,20 +88,20 @@ class TestDomain:
             up = math.nextafter(up, math.inf)
             levels.append(up)
         for c in levels:
-            dom = mle_domain(q, c)
-            assert math.isfinite(mle_l(q, dom.a_right, c)), f"c={c!r}"
-            assert dom.a_right == pytest.approx(2.0 * (c - theta), rel=1e-12)
+            _, a_right = mle_domain(q, c)
+            assert math.isfinite(mle_l(q, a_right, c)), f"c={c!r}"
+            assert a_right == pytest.approx(2.0 * (c - theta), rel=1e-12)
 
     def test_a_up_example(self):
-        assert mle_domain(P, 0.0).a_right == pytest.approx(2.0, rel=1e-15)
+        assert mle_domain(P, 0.0)[1] == pytest.approx(2.0, rel=1e-15)
 
     def test_h_half_limit_degenerates(self):
         # mu_H -> 0 sends the lower endpoint to -infinity like 1/mu while
         # the upper endpoint converges to the classical limit -theta^2/(2c)
         q = ModelParams(theta=-1.0, hurst=0.5001)
-        dom = mle_domain(q, -2.0)
-        assert dom.a_1 < -1e10
-        assert dom.a_right == pytest.approx(0.25, rel=1e-6)
+        a1, a_right = mle_domain(q, -2.0)
+        assert a1 < -1e10
+        assert a_right == pytest.approx(0.25, rel=1e-6)
 
     def test_phi_identity_at_saddle(self):
         # sqrt(theta^2 + 2 a_c c) = |c|

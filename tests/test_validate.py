@@ -11,16 +11,18 @@ from exact_law import energy_cdf
 from fousldp.energy import c_star
 from fousldp.model import ModelParams
 from fousldp.sim import BatchResult, make_grid, simulate_martingale_batch
+from fousldp.special import r_h_scaled
 from fousldp.validate import (
     FUNCTIONALS,
+    KSReport,
     OracleReport,
     clt_test,
     gamma_contour_oracle,
     gamma_contour_series,
     gamma_density_deriv,
-    ks_critical_value,
     legendre_oracle,
     mc_tail,
+    r_h_oracle,
 )
 
 P = ModelParams(theta=-1.0, hurst=0.75)
@@ -98,6 +100,17 @@ class TestOracleReport:
         assert r.rel_err is None
         r = OracleReport("y", 1.5, 2.0, note="n")
         assert (r.abs_err, r.rel_err, r.note) == (0.5, 0.25, "n")
+
+
+class TestRHOracle:
+    @pytest.mark.parametrize("hurst", [0.51, 0.75, 0.99])
+    @pytest.mark.parametrize("z", [0.01, 3.0, 500.0])
+    def test_lhs_is_the_package_r_h(self, hurst, z):
+        # the oracle checks the function the model reads, not a copy of it
+        r = r_h_oracle(hurst, z)
+        assert r.lhs == r_h_scaled(hurst, z)
+        assert r.label == f"r_h H={hurst} z={z:.6g}"
+        assert r.rel_err < 1e-12
 
 
 class TestFunctionals:
@@ -313,9 +326,7 @@ class TestCltTest:
             clt_test(P, 10.0, 1000, seed=7, result=res)
 
     def test_critical_values(self):
-        assert ks_critical_value(100, 0.05) == pytest.approx(0.1358, rel=1e-12)
-        with pytest.raises(ValueError):
-            ks_critical_value(100, 0.10)
+        assert KSReport("x", 0.1, 100).crit_5pct == pytest.approx(0.1358, rel=1e-12)
 
     def test_preasymptotic_flagging(self):
         # a very short horizon is allowed to fail the 1% criterion; the
