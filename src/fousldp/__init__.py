@@ -31,18 +31,14 @@ from .mle import (
 from .model import (
     DomainError,
     GenFnPoint,
-    GenFnTerms,
-    LogArgumentError,
     ModelParams,
     exact_lt,
     gen_fn_terms,
     in_domain_delta,
-    modified_terms,
 )
 from .sim import (
     BatchResult,
     RngSpec,
-    SimPath,
     TimeGrid,
     clt_statistics,
     make_grid,
@@ -50,7 +46,7 @@ from .sim import (
     simulate_martingale_batch,
     simulate_martingale_path,
 )
-from .special import r_h, r_h_coeffs, r_h_scaled
+from .special import r_h, r_h_scaled
 from .validate import (
     KSReport,
     MCReport,

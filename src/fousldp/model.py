@@ -30,11 +30,9 @@ __all__ = [
     "GenFnPoint",
     "GenFnTerms",
     "DomainError",
-    "LogArgumentError",
     "in_domain_delta",
     "gen_fn_terms",
     "exact_lt",
-    "modified_terms",
 ]
 
 #: points closer than this to the boundary of the effective domain are
@@ -63,13 +61,6 @@ def check_level_and_horizon(c: float, T: Optional[float] = None) -> None:
 def _check_horizon(T: float) -> None:
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"horizon T must be finite and positive, got T={T}")
-
-
-class LogArgumentError(ArithmeticError):
-    """Raised when a log argument that should be positive is not.
-
-    This signals a numerically broken invariant, not a user error.
-    """
 
 
 @dataclass(frozen=True)
@@ -220,27 +211,33 @@ def _interior_or_raise(params: ModelParams, a: float, b: float) -> float:
     return phi
 
 
-def _checked_log(x: float, what: str) -> float:
-    if not x > 0:
-        raise LogArgumentError(f"non-positive log argument in {what}: {x}")
-    return math.log(x)
-
-
 def gen_fn_terms(params: ModelParams, point: GenFnPoint) -> GenFnTerms:
-    """Evaluate the exact four-term split at an interior tilt point."""
+    """Evaluate the exact four-term split at an interior tilt point.
+
+    ``R_T``'s denominator is ``tau 2 phi`` times the ``K_T`` log argument,
+    so the split holds only up to the first zero of that argument, and a
+    tilt at or past it is a ``DomainError``. At a finite horizon that zero
+    can lie inside the limiting domain. The transform itself is finite
+    there: ``K_T`` and ``R_T`` diverge with opposite signs, and their sum
+    is ``-1/2 log`` of the argument plus ``(2 phi - tau)^2 exp(-2 T phi) /
+    (2 phi tau)``, whose first zero is the end of the finite-horizon domain.
+    """
     a, b, T = point.a, point.b, point.T
     theta = params.theta
     phi = _interior_or_raise(params, a, b)
     tau = phi - (a + theta)
     rt = r_h_scaled(params.hurst, phi * T / 2.0) - 1.0
+    k_arg = 1.0 + (2.0 * phi - tau) * rt / (2.0 * phi)
+    denom = tau * (2.0 * phi + rt * (2.0 * phi - tau))
+    if not (k_arg > 0 and denom > 0):
+        raise DomainError(f"(a={a}, b={b}) lies beyond the domain of the generating "
+                          f"function's four-term split at T={T}")
     L = -0.5 * (a + theta + phi)
-    Hterm = -0.5 * _checked_log(tau / (2.0 * phi), "H")
-    K_T = -0.5 * _checked_log(1.0 + (2.0 * phi - tau) * rt / (2.0 * phi), "K_T")
+    # tau / (2 phi) > 0: tau is at least the margin _interior_or_raise demands
+    Hterm = -0.5 * math.log(tau / (2.0 * phi))
+    K_T = -0.5 * math.log(k_arg)
     exp2 = math.exp(-2.0 * T * phi)
-    R_T = -0.5 * _checked_log(
-        1.0 + (2.0 * phi - tau) ** 2 / (tau * (2.0 * phi + rt * (2.0 * phi - tau))) * exp2,
-        "R_T",
-    )
+    R_T = -0.5 * math.log(1.0 + (2.0 * phi - tau) ** 2 / denom * exp2)
     return GenFnTerms(L=L, Hterm=Hterm, K_T=K_T, R_T=R_T, phi=phi, tau=tau, r_T=rt)
 
 
@@ -248,23 +245,9 @@ def exact_lt(params: ModelParams, point: GenFnPoint) -> float:
     """Exact normalized cumulant generating function at (a, b, T).
 
     This is an identity, not an approximation: the value equals
-    ``(1/T) log E[exp(Z_T(a, b))]`` up to floating point rounding.
+    ``(1/T) log E[exp(Z_T(a, b))]`` up to floating point rounding. Past
+    the first zero of the ``K_T`` log argument, which at a finite horizon
+    can lie inside the limiting domain, this raises ``DomainError`` (see
+    :func:`gen_fn_terms`).
     """
     return gen_fn_terms(params, point).total(point.T)
-
-
-def modified_terms(params: ModelParams, a: float, T: float) -> tuple[float, float]:
-    """Modified split of the energy section: returns ``(K, R_check)``.
-
-    ``K(a)`` replaces the T-dependent Bessel correction by its limit, and
-    ``R_check = K_T - K + R_T`` absorbs the difference, so that
-    ``L + (H + K + R_check)/T`` still reassembles the exact value.
-    Requires the energy tilt ``a`` interior to ``(-inf, a_h)``.
-    """
-    terms = gen_fn_terms(params, GenFnPoint(0.0, a, T))
-    phi = terms.phi
-    K = -0.5 * _checked_log(
-        1.0 + (phi + params.theta) * params.p_h / (2.0 * phi), "K"
-    )
-    R_check = terms.K_T - K + terms.R_T
-    return K, R_check

@@ -4,8 +4,7 @@ r"""The Bessel product of the exact cumulant generating function.
     r_H(z) = \frac{\pi z}{\sin(\pi H)}
         \bigl(I_H(z) I_{1-H}(z) + I_{-H}(z) I_{H-1}(z)\bigr)
 
-with the first two coefficients of its large-argument expansion. The model
-reads it in the overflow-free form ``exp(-2z) r_H(z)``.
+The model reads it in the overflow-free form ``exp(-2z) r_H(z)``.
 
 ``r_H`` needs only two of its four Bessel values. The Wronskian
 (DLMF 10.28.1) with the recurrences for ``I_{nu-1}`` gives
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["r_h", "r_h_scaled", "r_h_coeffs"]
+__all__ = ["r_h", "r_h_scaled"]
 
 
 def r_h_scaled(hurst: float, z: float) -> float:
@@ -38,7 +37,10 @@ def r_h_scaled(hurst: float, z: float) -> float:
     ``2 pi z/sin(pi H) Ie_H Ie_{1-H} + 2 e^{-2z}`` (see the module
     docstring).
     """
-    _check_hurst_half_open(hurst)
+    # H = 1/2 is admitted here (degeneracy checks) even though the model
+    # modules require H > 1/2 strictly
+    if not 0.5 <= hurst < 1.0:
+        raise ValueError(f"Hurst index must lie in [1/2, 1), got {hurst}")
     if not z > 0:
         raise ValueError(f"r_h_scaled requires z > 0, got z={z}")
     from scipy.special import ive
@@ -62,29 +64,3 @@ def r_h(hurst: float, z: float) -> float:
     if 2.0 * z + math.log(scaled) > 709.0:
         raise OverflowError(f"r_h overflows for z={z}; use r_h_scaled instead")
     return scaled * math.exp(2.0 * z)
-
-
-def r_h_coeffs(hurst: float, p: int) -> tuple[float, ...]:
-    """First ``p`` large-argument expansion coefficients of ``r_H``.
-
-    ``sin(pi H) exp(-2z) r_H(z) = 1 + sum_k r_k / z^k + ...``; returns
-    ``(r_1,)`` for ``p = 1`` and ``(r_1, r_2)`` for ``p = 2``. Higher
-    coefficients are not available in closed form here. All of them
-    vanish when ``H = 1/2`` exactly.
-    """
-    _check_hurst_half_open(hurst)
-    if p not in (1, 2):
-        raise ValueError(f"unsupported expansion order p={p}; only p in {{1, 2}}")
-    m = 2.0 * hurst - 1.0
-    r1 = -(m * m) / 4.0
-    if p == 1:
-        return (r1,)
-    r2 = m * m * (2.0 * hurst + 1.0) * (2.0 * hurst - 3.0) / 32.0
-    return (r1, r2)
-
-
-def _check_hurst_half_open(hurst: float) -> None:
-    # H = 1/2 is admitted here (degeneracy checks) even though the model
-    # modules require H > 1/2 strictly
-    if not 0.5 <= hurst < 1.0:
-        raise ValueError(f"Hurst index must lie in [1/2, 1), got {hurst}")

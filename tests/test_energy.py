@@ -27,7 +27,7 @@ from fousldp.energy import (
     tail_energy,
     tail_hard,
 )
-from fousldp.model import GenFnPoint, ModelParams, exact_lt, gen_fn_terms, modified_terms
+from fousldp.model import GenFnPoint, ModelParams, exact_lt, gen_fn_terms
 
 P = ModelParams(theta=-1.0, hurst=0.75)
 
@@ -36,9 +36,11 @@ def energy_sections_mp(mp, p):
     """``L``, ``H`` and ``K`` of the energy section at mpmath's precision.
 
     Transcriptions of ``energy_l``, of the exact split's ``Hterm`` at the
-    tilt ``(0, a)`` and of the modified split's ``K``, with the float
-    parameters taken as exact; ``test_transcriptions_match_the_package``
-    pins them to those functions.
+    tilt ``(0, a)`` and of ``K``, the ``T -> infinity`` limit of its
+    ``K_T``, with the float parameters taken as exact.
+    ``test_transcriptions_match_the_package`` pins ``L`` and ``H`` to the
+    package; ``test_easy_log_prefactor_is_h_plus_k_at_the_saddle`` pins
+    ``H + K`` to ``tail_easy``'s ``log_prefactor``.
     """
     th, ph = mp.mpf(p.theta), mp.mpf(p.p_h)
     phi = lambda a: mp.sqrt(th**2 - 2 * a)
@@ -182,7 +184,6 @@ class TestDerivatives:
             assert energy_l(P, a) == pytest.approx(ref["L"], rel=1e-15)
             hterm = gen_fn_terms(P, GenFnPoint(0.0, a, 10.0)).Hterm
             assert hterm == pytest.approx(ref["H"], rel=1e-14, abs=1e-16)
-            assert modified_terms(P, a, 10.0)[0] == pytest.approx(ref["K"], rel=1e-14, abs=1e-16)
 
     @pytest.mark.parametrize("a", [-1.0, 0.0, 0.2, 0.4])
     @pytest.mark.parametrize("q", [1, 2, 3])
@@ -255,6 +256,28 @@ class TestTails:
             a_c * sigma_c * math.sqrt(2.0 * math.pi * T)
         )
         assert ta.value(T) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [-1.0, -0.3, -5.0])
+    @pytest.mark.parametrize("hurst", [0.51, 0.55, 0.75, 0.9, 0.99])
+    def test_easy_log_prefactor_is_h_plus_k_at_the_saddle(self, theta, hurst):
+        # log_prefactor = H(a_c) + K(a_c) - log(|a_c| sigma_c sqrt(2 pi)),
+        # with H and K the 50-digit sections at the saddle a_c of level c,
+        # on both sides of the mean up to 0.999 c*. The worst error, 7.9e-13,
+        # is just above the mean, where a_c cancels in double precision.
+        mp = pytest.importorskip("mpmath")
+        p = ModelParams(theta=theta, hurst=hurst)
+        f = energy_sections_mp(mp, p)
+        mean, cs = -1.0 / (2.0 * theta), c_star(p)
+        levels = [mean * x for x in (0.02, 0.3, 0.7, 0.99, 0.999)]
+        levels += [mean + (cs - mean) * g for g in (1e-3, 1e-2, 0.3, 0.7, 0.99)] + [0.999 * cs]
+        for c in levels:
+            with mp.workdps(50):
+                cc = mp.mpf(c)
+                a_c = mp.mpf(theta) ** 2 / 2 - 1 / (8 * cc * cc)
+                ref = f["H"](a_c) + f["K"](a_c) - mp.log(
+                    abs(a_c) * mp.sqrt(4 * cc**3) * mp.sqrt(2 * mp.pi))
+                err = abs(float(tail_easy(p, c).log_prefactor - ref))
+            assert err <= 2e-12, (c, err)
 
     def test_lower_tail_orientation(self):
         ta = tail_easy(P, 0.3)

@@ -14,7 +14,6 @@ from fousldp.model import (
     exact_lt,
     gen_fn_terms,
     in_domain_delta,
-    modified_terms,
 )
 
 mp.mp.dps = 40
@@ -99,10 +98,23 @@ class TestDomain:
         (0.0, 0.1, math.inf, "T"), (0.0, 0.1, math.nan, "T"), (0.0, 0.1, 0.0, "T"),
     ])
     def test_non_finite_point_is_a_value_error_naming_it(self, a, b, T, name):
-        # not the LogArgumentError of a broken invariant inside exact_lt
+        # a ValueError naming the argument, raised before any evaluation,
+        # not the DomainError of a tilt outside the domain
         with pytest.raises(ValueError, match=f"{name} must be finite") as info:
             exact_lt(P, GenFnPoint(a, b, T))
         assert not isinstance(info.value, DomainError)
+
+
+    def test_refusal_inside_the_limiting_domain_at_a_finite_horizon(self):
+        # at T = 5 the K_T log argument falls to zero at 0.99890 of the way
+        # along this ray, inside the limiting domain
+        a, b = 0.7997130197032386, 0.4993816184498696
+        assert in_domain_delta(P, a, b) and in_domain_delta(P, 0.998 * a, 0.998 * b)
+        with pytest.raises(DomainError, match="T=5.0"):
+            exact_lt(P, GenFnPoint(a, b, 5.0))
+        assert exact_lt(P, GenFnPoint(0.998 * a, 0.998 * b, 5.0)) == pytest.approx(
+            0.0324, abs=5e-5
+        )
 
 
 class TestExactSplit:
@@ -171,34 +183,3 @@ class TestExactSplit:
         # T = 5e3 would overflow the unscaled Bessel combination
         val = exact_lt(P, GenFnPoint(0.1, 0.1, 5e3))
         assert math.isfinite(val)
-
-
-class TestModifiedSplit:
-    def test_reassembly_identity(self):
-        # L + (H + K + R_check)/T must equal the exact four-term total
-        for a in (-1.0, 0.0, 0.2, 0.45):
-            for T in (5.0, 50.0, 500.0):
-                terms = gen_fn_terms(P, GenFnPoint(0.0, a, T))
-                K, R_check = modified_terms(P, a, T)
-                lhs = terms.L + (terms.Hterm + K + R_check) / T
-                assert lhs == pytest.approx(terms.total(T), abs=1e-14)
-
-    def test_k_limit_of_k_t(self):
-        # K is the T -> infinity limit of the Bessel correction term
-        a = 0.2
-        K, _ = modified_terms(P, a, 1e5)
-        terms = gen_fn_terms(P, GenFnPoint(0.0, a, 1e5))
-        assert terms.K_T == pytest.approx(K, abs=1e-4)
-
-    def test_k_closed_form_at_saddle(self):
-        # at the interior saddle phi = 1/(2c): K = -log((2 + p(1+2 theta c))/2)/2
-        c = 0.8
-        a_c = (4.0 * c * c - 1.0) / (8.0 * c * c)
-        K, _ = modified_terms(P, a_c, 100.0)
-        expect = -0.5 * math.log((2.0 + P.p_h * (1.0 - 2.0 * c)) / 2.0)
-        assert K == pytest.approx(expect, rel=1e-12)
-
-    def test_zero_point(self):
-        K, R_check = modified_terms(P, 0.0, 50.0)
-        assert K == pytest.approx(0.0, abs=1e-14)
-        assert R_check == pytest.approx(0.0, abs=1e-12)

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import ive
 
 from fousldp.model import ModelParams
-from fousldp.special import r_h, r_h_coeffs, r_h_scaled
+from fousldp.special import r_h, r_h_scaled
 
 mp.mp.dps = 40
 
@@ -72,7 +72,7 @@ class TestRH:
             assert r_h(0.5, float(z)) == pytest.approx(expect, rel=1e-12)
 
     @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.9, 0.99])
-    @pytest.mark.parametrize("z", [0.1, 1.0, 10.0, 20.0, 25.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("z", [0.1, 1.0, 10.0, 20.0, 25.0, 100.0, 1000.0, 5e3])
     def test_against_extended_precision(self, hurst, z):
         assert r_h_scaled(hurst, z) == pytest.approx(float(mp_r_h_scaled(hurst, z)), rel=1e-11)
 
@@ -126,28 +126,6 @@ class TestRH:
             for z in np.geomspace(0.01, 1e4, 50):
                 assert r_h_scaled(hurst, float(z)) > 0
 
-    def test_limit_is_one_over_sin(self):
-        # sin(pi H) e^{-2z} r_H(z) -> 1 with first correction r_1 / z
-        for hurst in (0.6, 0.75, 0.9):
-            z = 5e3
-            (r1,) = r_h_coeffs(hurst, 1)
-            val = math.sin(math.pi * hurst) * r_h_scaled(hurst, z)
-            assert val - 1.0 == pytest.approx(r1 / z, rel=1e-2)
-
-    def test_expansion_second_order(self):
-        # subtracting the order-1 term leaves the order-2 term
-        for hurst in (0.6, 0.85):
-            r1, r2 = r_h_coeffs(hurst, 2)
-            z = 2e2
-            val = math.sin(math.pi * hurst) * r_h_scaled(hurst, z)
-            assert val - 1.0 - r1 / z == pytest.approx(r2 / z**2, rel=5e-2)
-
-    def test_coefficient_values(self):
-        r1, r2 = r_h_coeffs(0.75, 2)
-        assert r1 == pytest.approx(-1.0 / 16.0, abs=1e-15)
-        assert r2 == pytest.approx(-15.0 / 512.0, abs=1e-15)
-        assert r_h_coeffs(0.5, 2) == (0.0, 0.0)
-
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):
             r_h(0.75, 400.0)
@@ -156,5 +134,3 @@ class TestRH:
         for h in (0.4, 1.0, 1.2):
             with pytest.raises(ValueError):
                 r_h_scaled(h, 1.0)
-        with pytest.raises(ValueError):
-            r_h_coeffs(0.75, 3)
