@@ -41,7 +41,7 @@ def main() -> None:
     print("central limit statistics at T = 50, 3000 replicates")
     for r in (e, m):
         verdict = "below" if r.below_1pct else "above"
-        print(f"  {r.label}: KS {r.statistic:.4f} ({verdict} 1% critical {r.crit_1pct:.4f})")
+        print(f"  {r.label}: KS {r.ks_statistic:.4f} ({verdict} 1% critical {r.crit_1pct:.4f})")
     print()
 
     # too rare an event for 20000 paths is reported without drawing any

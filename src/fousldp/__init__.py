@@ -33,7 +33,6 @@ from .model import (
     GenFnPoint,
     ModelParams,
     exact_lt,
-    gen_fn_terms,
     in_domain_delta,
 )
 from .sim import (

@@ -73,6 +73,9 @@ class _Parser(argparse.ArgumentParser):
 
     # argparse exits with code 2 on bad usage; the contract here is 64
     def error(self, message):
+        if "expected one argument" in message:
+            # argparse reads a space-separated -1e-3 as an option
+            message += "; write a negative value with =, as in --theta=-1e-3"
         raise _UsageError(message)
 
     def add_argument(self, *args, **kwargs):
@@ -219,20 +222,9 @@ def _cmd_mc(args) -> int:
 
 def _cmd_clt(args) -> int:
     params = _params(args)
-    e_rep, m_rep = validate.clt_test(params, args.T, args.replicates, args.seed,
-                                     result=_draw_batch(args, params))
-    rows = [
-        {
-            "label": r.label,
-            "ks_statistic": r.statistic,
-            "n": r.n,
-            "crit_1pct": r.crit_1pct,
-            "crit_5pct": r.crit_5pct,
-            "below_1pct": r.below_1pct,
-        }
-        for r in (e_rep, m_rep)
-    ]
-    _emit(rows, args.out)
+    reports = validate.clt_test(params, args.T, args.replicates, args.seed,
+                                result=_draw_batch(args, params))
+    _emit([asdict(r) for r in reports], args.out)
     return EXIT_OK
 
 

@@ -1,16 +1,18 @@
-r"""Model parameters and the exact decomposition of the normalized
-cumulant generating function of the tilted fractional Ornstein-Uhlenbeck
-functionals.
+r"""Model parameters and the exact normalized cumulant generating function
+of the tilted fractional Ornstein-Uhlenbeck functionals.
 
 The central object is the two-parameter exponential tilt
 
 .. math::
     \mathcal{Z}_T(a, b) = a \int_0^T Q\,dY + b \int_0^T Q^2\,d\langle M\rangle
 
-whose normalized cumulant generating function admits an exact four-term
-split ``L + (H + K_T + R_T)/T``. The split is an identity, not an
-asymptotic statement, so reassembling the four terms must reproduce the
-exact value to machine precision.
+whose normalized cumulant generating function is, exactly,
+``L + (H + K_T + R_T)/T``: the limiting term, the Gaussian correction, the
+Bessel-product correction and an exponentially small remainder.
+:func:`exact_lt` takes ``K_T + R_T`` as one log, ``-1/2 log d_KR``. Apart,
+``K_T`` and ``R_T`` diverge with opposite signs wherever the ``K_T`` log
+argument crosses zero, which at a finite horizon can happen inside the
+limiting domain; their sum stays finite up to the first zero of ``d_KR``.
 
 All computations route the Bessel combination through exponentially scaled
 products, so horizons up to ``T ~ 1e3`` and beyond never overflow.
@@ -28,10 +30,8 @@ from .special import r_h_scaled
 __all__ = [
     "ModelParams",
     "GenFnPoint",
-    "GenFnTerms",
     "DomainError",
     "in_domain_delta",
-    "gen_fn_terms",
     "exact_lt",
 ]
 
@@ -153,28 +153,6 @@ class GenFnPoint:
         _check_horizon(self.T)
 
 
-@dataclass(frozen=True)
-class GenFnTerms:
-    """The four-term split of the normalized cumulant generating function.
-
-    ``L`` is the limiting term, ``Hterm`` the 1/T Gaussian correction,
-    ``K_T`` the Bessel-product correction, ``R_T`` the exponentially small
-    remainder; ``phi``, ``tau`` and ``r_T`` are the intermediate quantities
-    they are built from.
-    """
-
-    L: float
-    Hterm: float
-    K_T: float
-    R_T: float
-    phi: float
-    tau: float
-    r_T: float
-
-    def total(self, T: float) -> float:
-        return self.L + (self.Hterm + self.K_T + self.R_T) / T
-
-
 def _domain_margin(params: ModelParams, a: float, b: float) -> tuple[float, float]:
     """``(phi, margin)`` of the tilt ``(a, b)`` in the effective domain.
 
@@ -201,53 +179,38 @@ def in_domain_delta(params: ModelParams, a: float, b: float) -> bool:
     return _domain_margin(params, a, b)[1] > 0
 
 
-def _interior_or_raise(params: ModelParams, a: float, b: float) -> float:
-    phi, margin = _domain_margin(params, a, b)
-    if margin <= BOUNDARY_MARGIN:
-        raise DomainError(
-            f"(a={a}, b={b}) not strictly interior to the effective domain "
-            f"(margin {margin:.3e})"
-        )
-    return phi
-
-
-def gen_fn_terms(params: ModelParams, point: GenFnPoint) -> GenFnTerms:
-    """Evaluate the exact four-term split at an interior tilt point.
-
-    ``R_T``'s denominator is ``tau 2 phi`` times the ``K_T`` log argument,
-    so the split holds only up to the first zero of that argument, and a
-    tilt at or past it is a ``DomainError``. At a finite horizon that zero
-    can lie inside the limiting domain. The transform itself is finite
-    there: ``K_T`` and ``R_T`` diverge with opposite signs, and their sum
-    is ``-1/2 log`` of the argument plus ``(2 phi - tau)^2 exp(-2 T phi) /
-    (2 phi tau)``, whose first zero is the end of the finite-horizon domain.
-    """
-    a, b, T = point.a, point.b, point.T
-    theta = params.theta
-    phi = _interior_or_raise(params, a, b)
-    tau = phi - (a + theta)
-    rt = r_h_scaled(params.hurst, phi * T / 2.0) - 1.0
-    k_arg = 1.0 + (2.0 * phi - tau) * rt / (2.0 * phi)
-    denom = tau * (2.0 * phi + rt * (2.0 * phi - tau))
-    if not (k_arg > 0 and denom > 0):
-        raise DomainError(f"(a={a}, b={b}) lies beyond the domain of the generating "
-                          f"function's four-term split at T={T}")
-    L = -0.5 * (a + theta + phi)
-    # tau / (2 phi) > 0: tau is at least the margin _interior_or_raise demands
-    Hterm = -0.5 * math.log(tau / (2.0 * phi))
-    K_T = -0.5 * math.log(k_arg)
-    exp2 = math.exp(-2.0 * T * phi)
-    R_T = -0.5 * math.log(1.0 + (2.0 * phi - tau) ** 2 / denom * exp2)
-    return GenFnTerms(L=L, Hterm=Hterm, K_T=K_T, R_T=R_T, phi=phi, tau=tau, r_T=rt)
-
-
 def exact_lt(params: ModelParams, point: GenFnPoint) -> float:
     """Exact normalized cumulant generating function at (a, b, T).
 
     This is an identity, not an approximation: the value equals
-    ``(1/T) log E[exp(Z_T(a, b))]`` up to floating point rounding. Past
-    the first zero of the ``K_T`` log argument, which at a finite horizon
-    can lie inside the limiting domain, this raises ``DomainError`` (see
-    :func:`gen_fn_terms`).
+    ``(1/T) log E[exp(Z_T(a, b))]`` up to floating point rounding. It is
+    ``L + (H - 1/2 log d_KR)/T`` with ``phi = sqrt(theta^2 - 2b)``,
+    ``tau = phi - (a + theta)``, ``r_T = exp(-T phi) r_H(phi T/2) - 1``,
+
+    * ``L = -(a + theta + phi)/2`` and ``H = -1/2 log(tau/(2 phi))``;
+    * ``d_KR = 1 + (2 phi - tau) r_T/(2 phi)
+      + (2 phi - tau)^2 exp(-2 T phi)/(2 phi tau)``.
+
+    A tilt outside the limiting domain (see :func:`in_domain_delta`), or
+    within ``BOUNDARY_MARGIN`` of its boundary, is a ``DomainError``. So is
+    a tilt where ``d_KR <= 0``: at a finite horizon the transform can end
+    inside the limiting domain, at the first zero of ``d_KR``.
     """
-    return gen_fn_terms(params, point).total(point.T)
+    a, b, T = point.a, point.b, point.T
+    theta = params.theta
+    phi, margin = _domain_margin(params, a, b)
+    if margin <= BOUNDARY_MARGIN:
+        raise DomainError(
+            f"(a={a}, b={b}) not strictly interior to the effective domain "
+            f"(margin {margin:.3e}) at T={T}"
+        )
+    tau = phi - (a + theta)
+    rt = r_h_scaled(params.hurst, phi * T / 2.0) - 1.0
+    d_kr = (1.0 + (2.0 * phi - tau) * rt / (2.0 * phi)
+            + (2.0 * phi - tau) ** 2 * math.exp(-2.0 * T * phi) / (2.0 * phi * tau))
+    if not d_kr > 0:
+        raise DomainError(f"(a={a}, b={b}) lies beyond the domain of the generating "
+                          f"function at T={T}")
+    # tau / (2 phi) > 0: tau is at least the margin demanded above
+    h = -0.5 * math.log(tau / (2.0 * phi))
+    return -0.5 * (a + theta + phi) + (h - 0.5 * math.log(d_kr)) / T

@@ -6,7 +6,8 @@ Both functionals are read off the exact cumulant generating function
     \Lambda_T(a, b) = \log E \exp\Bigl(a \int_0^T Q\,dY + b\,S_T\Bigr)
                     = T L + H + K_T + R_T,
 
-the four-term split of ``fousldp.model`` evaluated at complex tilts. Along
+the paper's four-term split evaluated at complex tilts (``fousldp.model``
+evaluates it at real tilts, with ``K_T + R_T`` as one log). Along
 a direction ``(p, q)`` the statistic ``X = p int Q dY + q S_T`` has the
 moment generating function ``exp(K(w))`` with ``K(w) = Lambda_T(p w, q w)``,
 and for any abscissa ``w0 != 0`` inside the domain of ``K`` the Bromwich

@@ -140,8 +140,8 @@ def test_criterion_05_central_limit_kolmogorov_smirnov():
         f"CLT: exact sup|F_T - Phi| slopes over T=100..1600 energy "
         f"{slopes['energy']:.3f}, estimator {slopes['estimator']:.3f} (-0.5 +- 0.1); "
         f"KS at T=100 vs exact law: energy {ks_e:.4f}, estimator {ks_m:.4f} "
-        f"(< {crit:.4f}); vs N(0,1): energy {e.statistic:.4f}, "
-        f"estimator {m.statistic:.4f}",
+        f"(< {crit:.4f}); vs N(0,1): energy {e.ks_statistic:.4f}, "
+        f"estimator {m.ks_statistic:.4f}",
     )
     assert ok, line
 

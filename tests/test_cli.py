@@ -337,7 +337,7 @@ class TestCltCommand:
         rows = _rows(capsys.readouterr().out)
         batch = simulate_martingale_batch(P, make_grid(5.0, 150), 6, 1000)
         reports = cli.validate.clt_test(P, 5.0, 1000, 6, result=batch)
-        assert [r["ks_statistic"] for r in rows] == [cli._fmt(r.statistic) for r in reports]
+        assert [r["ks_statistic"] for r in rows] == [cli._fmt(r.ks_statistic) for r in reports]
         assert [r["below_1pct"] for r in rows] == [str(r.below_1pct) for r in reports]
         assert _run(argv + ["--grid-n", "200"]) == cli.EXIT_OK
         assert _rows(capsys.readouterr().out) != rows
@@ -464,6 +464,15 @@ class TestExitCodes:
             ["rate", "--theta", "-1", "--hurst", "0.75", "--target", "energy",
              "--c", "1.0", "--no-such-flag"]
         ) == cli.EXIT_USAGE
+
+    def test_flag_without_its_value_suggests_the_equals_form(self, capsys):
+        # the message a space-separated --theta -1e-3 gets on Pythons whose
+        # argparse reads -1e-3 as an option
+        assert _run(["rate", "--target", "energy", "--hurst", "0.75", "--c", "1.0",
+                     "--theta"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: argument --theta: expected one argument; write a negative "
+            "value with =, as in --theta=-1e-3\n")
 
     def test_missing_model_parameters(self, capsys):
         assert _run(["rate", "--target", "energy", "--c", "1.0"]) == cli.EXIT_USAGE

@@ -304,8 +304,8 @@ class TestCltTest:
         e, m = clt_test(P, 100.0, 2000, seed=2024, result=res)
         assert e.n == m.n == 2000
         assert e.crit_1pct == pytest.approx(1.628 / math.sqrt(2000), rel=1e-12)
-        assert 0.0 < e.statistic < 0.1
-        assert 0.0 < m.statistic < 0.1
+        assert 0.0 < e.ks_statistic < 0.1
+        assert 0.0 < m.ks_statistic < 0.1
         exact = kstest(res.s_terminal, lambda s: energy_cdf(P, s, 100.0)).statistic
         assert exact < e.crit_1pct
 
@@ -327,11 +327,14 @@ class TestCltTest:
 
     def test_critical_values(self):
         assert KSReport("x", 0.1, 100).crit_5pct == pytest.approx(0.1358, rel=1e-12)
+        # below_1pct is set from the statistic, as the critical values are
+        assert KSReport("x", 0.16, 100).below_1pct
+        assert not KSReport("x", 0.17, 100).below_1pct
 
     def test_preasymptotic_flagging(self):
         # a very short horizon is allowed to fail the 1% criterion; the
         # report itself must still be well-formed
         res = simulate_martingale_batch(P, make_grid(10.0, 500), seed=43, replicates=1000)
         e, m = clt_test(P, 10.0, 1000, seed=43, result=res)
-        assert e.statistic > 0
-        assert m.statistic > 0
+        assert e.ks_statistic > 0
+        assert m.ks_statistic > 0
