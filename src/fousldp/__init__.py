@@ -1,6 +1,10 @@
 """Sharp large-deviation asymptotics for the fractional Ornstein-Uhlenbeck
 process: rate functions, tail prefactors, saddlepoint machinery, exact
 path simulation and validation oracles.
+
+The closed forms are pure ``math``, so ``import fousldp`` loads neither
+numpy nor scipy. The simulator's names load ``sim``, and numpy with it,
+on first use.
 """
 
 from .energy import (
@@ -35,16 +39,6 @@ from .model import (
     exact_lt,
     in_domain_delta,
 )
-from .sim import (
-    BatchResult,
-    RngSpec,
-    TimeGrid,
-    clt_statistics,
-    make_grid,
-    simulate_fbm_batch,
-    simulate_martingale_batch,
-    simulate_martingale_path,
-)
 from .special import r_h, r_h_scaled
 from .validate import (
     KSReport,
@@ -58,3 +52,27 @@ from .validate import (
 )
 
 __version__ = "0.1.0"
+
+#: the names of ``sim`` this package exports, resolved on first use
+_SIM_NAMES = frozenset({
+    "BatchResult",
+    "RngSpec",
+    "TimeGrid",
+    "clt_statistics",
+    "make_grid",
+    "simulate_fbm_batch",
+    "simulate_martingale_batch",
+    "simulate_martingale_path",
+})
+
+
+def __getattr__(name):
+    if name in _SIM_NAMES:
+        from . import sim
+
+        return getattr(sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _SIM_NAMES)

@@ -28,11 +28,13 @@ Exit codes: 0 success, 2 invalid parameter values, 3 numerical failure,
 option, an explicit ``oracle`` flag that its ``--kind`` does not read, or
 ``oracle --kind bessel`` without mpmath, which the ``test`` extra installs).
 
-scipy is slow to import, so each command loads only the scipy module it
-calls: ``rate``, ``tail``, ``saddle``, ``simulate``, ``mc`` and
-``oracle --kind legendre`` load none, ``oracle --kind bessel`` loads
-``scipy.special``, ``oracle --kind gamma-contour`` loads ``scipy.integrate``
-(which imports ``scipy.optimize`` itself) and ``clt`` loads ``scipy.stats``.
+numpy and scipy are slow to import, so each command loads only what it
+calls. ``rate``, ``tail``, ``saddle`` and ``oracle --kind legendre`` are
+pure ``math`` and load neither. ``simulate`` and ``mc`` load numpy, with
+the simulator, and no scipy module; ``clt`` loads numpy and
+``scipy.stats``; ``oracle --kind bessel`` loads numpy, for its grid of
+arguments, and ``scipy.special``; ``oracle --kind gamma-contour`` loads
+``scipy.integrate``, which imports numpy and ``scipy.optimize`` itself.
 """
 
 from __future__ import annotations
@@ -43,11 +45,8 @@ import sys
 from dataclasses import asdict
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import energy, validate
 from .model import ModelParams
-from .sim import RngSpec, make_grid, simulate_martingale_batch, simulate_martingale_path
 
 __all__ = ["main", "run"]
 
@@ -177,19 +176,23 @@ def _cmd_saddle(args) -> int:
 def _draw_batch(args, params: ModelParams):
     # the batch of simulate, mc and clt: --replicates paths to --T on a
     # --grid-n grid, from --seed
-    grid = make_grid(args.T, args.grid_n)
-    return simulate_martingale_batch(params, grid, args.seed, args.replicates)
+    from . import sim
+
+    grid = sim.make_grid(args.T, args.grid_n)
+    return sim.simulate_martingale_batch(params, grid, args.seed, args.replicates)
 
 
 def _cmd_simulate(args) -> int:
+    from . import sim
+
     params = _params(args)
     if args.dump_paths:
-        grid = make_grid(args.T, args.grid_n)
+        grid = sim.make_grid(args.T, args.grid_n)
         if args.replicates < 1:
             raise ValueError("replicates must be >= 1")
         ends = []
         for rep in range(args.replicates):
-            path = simulate_martingale_path(params, grid, RngSpec(args.seed, rep))
+            path = sim.simulate_martingale_path(params, grid, sim.RngSpec(args.seed, rep))
             dump = [
                 {"t": t, "M": m, "Y": y, "Q": q, "S": s}
                 for t, m, y, q, s in zip(path.grid.nodes, path.M, path.Y, path.Q, path.S)
@@ -243,6 +246,8 @@ def _cmd_oracle(args) -> int:
         except ImportError:
             raise _UsageError("oracle --kind bessel needs mpmath; install the "
                               "test extra: pip install 'fousldp[test]'") from None
+        import numpy as np
+
         reports = [validate.r_h_oracle(hurst, z)
                    for z in map(float, np.geomspace(0.01, 500.0, 40))
                    for hurst in (0.51, 0.6, 0.75, 0.9, 0.99)]

@@ -27,7 +27,9 @@ scipy is slow to import, so each function loads only what it calls:
 ``scipy.stats`` and ``r_h_oracle`` (through ``r_h_scaled``)
 ``scipy.special``; ``mc_tail`` and ``legendre_oracle`` (a golden-section
 search) load no scipy module. ``r_h_oracle`` also imports mpmath, which
-the ``test`` extra installs.
+the ``test`` extra installs. The module loads neither numpy nor ``sim``:
+``mc_tail`` counts hits with the batch's own arrays, and ``clt_test``
+imports ``sim.clt_statistics`` where it calls it.
 """
 
 from __future__ import annotations
@@ -35,15 +37,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .energy import ENERGY, Functional
 from .mle import MLE
 from .model import ModelParams
-from .sim import BatchResult, clt_statistics
 from .special import r_h_scaled
+
+if TYPE_CHECKING:
+    from .sim import BatchResult
 
 __all__ = [
     "FUNCTIONALS",
@@ -210,7 +212,7 @@ def mc_tail(
                 f"at c={c}; pass the batch they were drawn in as result"
             )
         sample = _functional(target).sample(result)
-        hits = np.sum(sample <= c) if approx.lower_tail else np.sum(sample >= c)
+        hits = (sample <= c).sum() if approx.lower_tail else (sample >= c).sum()
         est = float(hits) / replicates
         se = math.sqrt(max(est * (1.0 - est), 1e-300) / replicates)
         z = (est - closed) / se
@@ -450,6 +452,8 @@ def clt_test(
     drawn at the horizon ``T`` from ``seed``.
     """
     from scipy.stats import kstest
+
+    from .sim import clt_statistics
 
     _check_batch(result, replicates, T, seed)
     e_sample, m_sample = clt_statistics(result, params)

@@ -6,8 +6,8 @@ Both functionals are read off the exact cumulant generating function
     \Lambda_T(a, b) = \log E \exp\Bigl(a \int_0^T Q\,dY + b\,S_T\Bigr)
                     = T L + H + K_T + R_T,
 
-the paper's four-term split evaluated at complex tilts (``fousldp.model``
-evaluates it at real tilts, with ``K_T + R_T`` as one log). Along
+the paper's four-term split evaluated at complex tilts, with ``K_T + R_T``
+as one log as ``fousldp.model`` takes it at real tilts. Along
 a direction ``(p, q)`` the statistic ``X = p int Q dY + q S_T`` has the
 moment generating function ``exp(K(w))`` with ``K(w) = Lambda_T(p w, q w)``,
 and for any abscissa ``w0 != 0`` inside the domain of ``K`` the Bromwich
@@ -69,13 +69,14 @@ def log_mgf_on_line(params: ModelParams, T: float, p, q, w) -> np.ndarray:
     bessel = ive(hurst, z) * ive(1.0 - hurst, z) + ive(-hurst, z) * ive(hurst - 1.0, z)
     r_t = math.pi * z / params.sin_pi_h * bessel * np.exp(-2j * z.imag) - 1.0
     two_phi = 2.0 * phi
+    g = two_phi - tau
     d_h = tau / two_phi
-    d_k = 1.0 + (two_phi - tau) * r_t / two_phi
-    d_r = 1.0 + (two_phi - tau) ** 2 / (tau * (two_phi + r_t * (two_phi - tau))) * np.exp(
-        -T * two_phi
-    )
-    arg = np.unwrap(np.angle(d_h) + np.angle(d_k) + np.angle(d_r), axis=-1)
-    log_abs = np.log(np.abs(d_h * d_k * d_r))
+    # K_T + R_T as one log of d_KR = d_K d_R, as in model.exact_lt: past the
+    # first zero of d_K both factors are negative, and their angles, pi
+    # each, would leave -pi in the imaginary part at a real tilt
+    d_kr = 1.0 + g * r_t / two_phi + g * g * np.exp(-T * two_phi) / (two_phi * tau)
+    arg = np.unwrap(np.angle(d_h) + np.angle(d_kr), axis=-1)
+    log_abs = np.log(np.abs(d_h * d_kr))
     return -0.5 * T * (a + theta + phi) - 0.5 * (log_abs + 1j * arg)
 
 

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import fousldp
-from fousldp import cli
+from fousldp import cli, sim
 from fousldp.energy import c_star, rate_energy, tail_energy
 from fousldp.model import ModelParams
 from fousldp.sim import RngSpec, make_grid, simulate_martingale_batch, simulate_martingale_path
@@ -268,7 +268,8 @@ class TestMcCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("simulated an underpowered request")
 
-        monkeypatch.setattr(cli, "simulate_martingale_batch", refuse)
+        # cli looks the batch up in sim when it draws one
+        monkeypatch.setattr(sim, "simulate_martingale_batch", refuse)
         code = _run(
             ["mc", "--theta", "-1", "--hurst", "0.75", "--target", "energy",
              "--T", "40", "--c", "6.0", "--c", "7.0", "--replicates", "10000",
@@ -293,13 +294,13 @@ class TestMcCommand:
 
     def test_one_batch_serves_every_level(self, capsys, monkeypatch):
         calls = []
-        batch = cli.simulate_martingale_batch
+        batch = sim.simulate_martingale_batch
 
         def counted(*args, **kwargs):
             calls.append(args)
             return batch(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "simulate_martingale_batch", counted)
+        monkeypatch.setattr(sim, "simulate_martingale_batch", counted)
         base = ["mc", "--theta", "-1", "--hurst", "0.75", "--target", "energy",
                 "--T", "10", "--grid-n", "200", "--replicates", "10000",
                 "--seed", "4"]
@@ -648,12 +649,18 @@ class TestConfig:
         assert code == cli.EXIT_USAGE
 
 
-def _python(code, *args):
+def _process(code, *args):
     # a fresh interpreter that imports the package from this source tree
     src = os.path.dirname(os.path.dirname(os.path.abspath(fousldp.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run([sys.executable, *code, *args], capture_output=True,
-                          text=True, env=env, check=True, timeout=120).stdout
+                          text=True, env=env, timeout=120)
+
+
+def _python(code, *args):
+    proc = _process(code, *args)
+    proc.check_returncode()
+    return proc.stdout
 
 
 class TestStartup:
@@ -753,3 +760,49 @@ print(json.dumps([[m for m in {self.SCIPY!r} if m in sys.modules],
                   "fousldp.validate" in sys.modules]))
 """
         assert json.loads(_python(["-c", code])) == [[], True]
+
+    # the closed-form commands, which are pure math
+    CLOSED_FORM = {
+        "rate": ["rate", *MODEL, "--target", "energy", "--c", "0.3", "--c", "0.7",
+                 "--c", "4.0"],
+        "tail-energy-order1": ["tail", *MODEL, "--target", "energy", "--c", "0.7",
+                               "--c", "4.0", "--T", "40", "--order1"],
+        "tail-mle": ["tail", *MODEL, "--target", "mle", "--c", "-0.6", "--c", "0.5",
+                     "--T", "40"],
+        "saddle": ["saddle", *MODEL, "--c", "4.0", "--c", "10.0"],
+        "oracle-legendre": ["oracle", "--kind", "legendre", *MODEL, "--target",
+                            "energy", "--c", "0.7", "--c", "4.0"],
+    }
+
+    # the names of sim that fousldp exports
+    SIM_NAMES = ["BatchResult", "RngSpec", "TimeGrid", "clt_statistics", "make_grid",
+                 "simulate_fbm_batch", "simulate_martingale_batch",
+                 "simulate_martingale_path"]
+
+    def test_bare_imports_load_no_numpy(self):
+        code = """
+import json, sys
+import fousldp
+bare = "numpy" in sys.modules
+import fousldp.cli
+print(json.dumps([bare, "numpy" in sys.modules]))
+"""
+        assert json.loads(_python(["-c", code])) == [False, False]
+
+    @pytest.mark.parametrize("argv", CLOSED_FORM.values(), ids=CLOSED_FORM.keys())
+    def test_closed_form_commands_run_without_numpy(self, argv):
+        # numpy set to None in sys.modules makes any import of it fail
+        main = "from fousldp.cli import main; main()"
+        with_numpy = _process(["-c", main], *argv)
+        without = _process(["-c", 'import sys; sys.modules["numpy"] = None; ' + main],
+                           *argv)
+        assert (without.returncode, without.stdout) == (with_numpy.returncode,
+                                                        with_numpy.stdout)
+        assert with_numpy.returncode == 0
+
+    def test_sim_names_are_those_of_sim(self):
+        for name in self.SIM_NAMES:
+            assert getattr(fousldp, name) is getattr(sim, name)
+            assert name in dir(fousldp)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            fousldp.no_such_name

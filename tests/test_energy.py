@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from exact_law import (
+    _real_log_mgf,
     bromwich,
     contour_tail_mpmath,
     energy_tail,
@@ -614,6 +615,15 @@ class TestExactLaw:
                 assert k.real == pytest.approx(
                     T * exact_lt(P, GenFnPoint(a, b, T)), rel=1e-13, abs=1e-13
                 )
+
+    def test_real_tilt_past_the_k_t_zero(self):
+        # at T = 5 this tilt lies past the first zero of the K_T log argument
+        # d_K, inside the limiting domain: d_K and R_T's log argument are
+        # both negative there, and their product d_KR is positive
+        a, b, T = 0.7997130197032386, 0.4993816184498696, 5.0
+        k = _real_log_mgf(P, T, a, b, 1.0)
+        assert k == pytest.approx(T * exact_lt(P, GenFnPoint(a, b, T)), rel=0, abs=1e-12)
+        assert k == pytest.approx(0.16914825371346914, rel=0, abs=1e-12)
 
     def test_double_precision_matches_mpmath(self):
         # energy upper tail at c = 0.7 and estimator upper tail at c = -0.6
